@@ -6,10 +6,13 @@ Subcommands:
     etf-check             construct a frame and print its invariant residuals
     bound-check           print the balanced loss floors for both heads
     lemma-fuzz            random search for violations of the log-share bound
-    export-gram <run-dir> rebuild Gram CSVs from a finished run
+    export-gram <run-dir> write the sample and class-mean Gram CSVs from
+                          saved state (runs write only the class-mean Gram)
 
 Exit codes: 0 success, 1 check failed, 2 config error, 3 training
-divergence, 4 solver non-convergence under an error policy.
+divergence, 4 solver non-convergence under an error policy, 5 artifact
+write or self-validation failure (OSError), 6 linear-algebra failure
+(SingularMatrixError or numpy.linalg.LinAlgError).
 """
 
 from __future__ import annotations
@@ -22,7 +25,12 @@ from dataclasses import replace
 import numpy as np
 
 from . import bounds, etf, harness
-from .errors import ConfigError, DivergenceError, SolverConvergenceError
+from .errors import (
+    ConfigError,
+    DivergenceError,
+    SingularMatrixError,
+    SolverConvergenceError,
+)
 from .linalg import make_rng
 
 
@@ -68,7 +76,9 @@ def _build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument("--draws", type=int, default=10000)
     fuzz.add_argument("--seed", type=int, default=0)
 
-    export = sub.add_parser("export-gram", help="re-export Gram CSVs for a run")
+    export = sub.add_parser(
+        "export-gram", help="write the sample and class-mean Gram CSVs from saved state"
+    )
     export.add_argument("run_dir")
     return parser
 
@@ -95,11 +105,13 @@ def _cmd_run(args) -> int:
             )
         if record.condition_report is not None:
             cr = record.condition_report
+            ratio = cr["nc3_cosine_ratio"]
+            ratio_text = "undefined" if ratio is None else f"{ratio:.4g}"
             print(
                 f"  conditions: nc2 holds={cr['nc2_condition_holds']} "
                 f"(margin {cr['nc2_margin']:.4g}), nc3 holds={cr['nc3_condition_holds']}; "
                 f"nc2 dist ex={cr['nc2_distance_explicit']:.4g} "
-                f"deq={cr['nc2_distance_deq']:.4g}, cos ratio {cr['nc3_cosine_ratio']:.4g}"
+                f"deq={cr['nc2_distance_deq']:.4g}, cos ratio {ratio_text}"
             )
     return 0
 
@@ -184,6 +196,12 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"training diverged: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:
+        print(f"artifact error: {exc}", file=sys.stderr)
+        return 5
+    except (SingularMatrixError, np.linalg.LinAlgError) as exc:
+        print(f"linear algebra error: {exc}", file=sys.stderr)
+        return 6
 
 
 if __name__ == "__main__":

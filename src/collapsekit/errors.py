@@ -1,7 +1,9 @@
 """Exception types shared across the package.
 
 The CLI maps these onto process exit codes (see cli.py): config problems
-exit 2, training divergence exits 3, solver non-convergence exits 4.
+exit 2, training divergence exits 3, solver non-convergence exits 4, and a
+singular linear solve (SingularMatrixError, like numpy.linalg.LinAlgError)
+exits 6. An OSError from writing or self-validating an artifact exits 5.
 """
 
 

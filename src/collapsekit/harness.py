@@ -6,9 +6,12 @@ shared backbone-feature initialization, and persists:
 
     trace.csv             per-snapshot training trace (schema below)
     report.json           the RunRecord
-    gram_samples.csv      N x N Gram of final post-head features, class-sorted
     gram_class_means.csv  K x K Gram of final class means
     state_<head>.npz      final parameters, for re-exporting Grams
+
+The N x N sample Gram (gram_samples.csv, final post-head features,
+class-sorted) is written only on request, by `collapsekit export-gram`
+(reexport_grams), from the saved state.
 
 With head = both, each head's artifacts land in an explicit/ or deq/
 subdirectory of the run directory and report.json at the top level carries
@@ -333,16 +336,38 @@ def write_trace_csv(trace: TrainTrace, k: int, path: Path) -> None:
     _write_validated_csv(path, header, rows)
 
 
-def export_gram(features_h, labels, out_dir) -> tuple:
-    """Write the class-sorted sample Gram H^T H and the class-mean Gram.
+def export_class_mean_gram(features_h, labels, out_dir) -> Path:
+    """Write the K x K Gram of the class-mean features; returns its path.
 
-    Returns (samples_path, means_path). Every value is repr()-formatted, so
-    re-parsing the CSV reproduces the in-memory Gram exactly.
+    Every value is repr()-formatted, so re-parsing the CSV reproduces the
+    in-memory Gram exactly.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     h = np.asarray(features_h, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
+    k = int(labels.max()) + 1
+    means = np.column_stack([h[:, labels == c].mean(axis=1) for c in range(k)])
+    mean_gram = means.T @ means
+    means_path = out_dir / "gram_class_means.csv"
+    header = [f"g_{j}" for j in range(k)]
+    _write_validated_csv(
+        means_path, header, [[_fmt(v) for v in row] for row in mean_gram]
+    )
+    return means_path
+
+
+def export_gram(features_h, labels, out_dir) -> tuple:
+    """Write the class-sorted sample Gram H^T H and the class-mean Gram.
+
+    Returns (samples_path, means_path). The sample Gram is N x N repr()
+    text, re-parsed in full for validation, so runs leave it to
+    `collapsekit export-gram`.
+    """
+    out_dir = Path(out_dir)
+    h = np.asarray(features_h, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    means_path = export_class_mean_gram(h, labels, out_dir)
     order = np.argsort(labels, kind="stable")
     h_sorted = h[:, order]
     gram = h_sorted.T @ h_sorted
@@ -351,15 +376,6 @@ def export_gram(features_h, labels, out_dir) -> tuple:
     header = [f"g_{j}" for j in range(gram.shape[1])]
     _write_validated_csv(
         samples_path, header, [[_fmt(v) for v in row] for row in gram]
-    )
-
-    k = int(labels.max()) + 1
-    means = np.column_stack([h[:, labels == c].mean(axis=1) for c in range(k)])
-    mean_gram = means.T @ means
-    means_path = out_dir / "gram_class_means.csv"
-    header = [f"g_{j}" for j in range(k)]
-    _write_validated_csv(
-        means_path, header, [[_fmt(v) for v in row] for row in mean_gram]
     )
     return samples_path, means_path
 
@@ -477,14 +493,20 @@ def compare_heads(cfg: ExperimentConfig, features_init: FeatureSet, traces: dict
     for name, trace in traces.items():
         means = _class_mean_features(trace)
         dist[name] = gram_distance_to_etf_raw(means.T @ means, cfg.k, alpha)
-    cos_ratio = _mean_class_cosine(traces["deq"]) / _mean_class_cosine(traces["explicit"])
+    explicit_cosine = _mean_class_cosine(traces["explicit"])
+    if explicit_cosine == 0.0:
+        cos_ratio = None
+        note = "explicit head's mean class cosine is 0: nc3_cosine_ratio undefined"
+    else:
+        cos_ratio = _mean_class_cosine(traces["deq"]) / explicit_cosine
+        note = None
     merged = dataclasses.replace(
         conditions,
         nc2_distance_explicit=dist["explicit"],
         nc2_distance_deq=dist["deq"],
         nc3_cosine_ratio=cos_ratio,
     )
-    return merged, None
+    return merged, note
 
 
 # ---------------------------------------------------------------------------
@@ -530,7 +552,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, quiet: bool = True) -> R
         trace_path = run_dir / "trace.csv"
         write_trace_csv(trace, cfg.k, trace_path)
         h_final = lpm.head_features(trace.head, trace.features.h0)
-        export_gram(h_final, trace.features.labels, run_dir)
+        export_class_mean_gram(h_final, trace.features.labels, run_dir)
         np.savez(
             run_dir / f"state_{head_name}.npz",
             h=h_final,
@@ -567,7 +589,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, quiet: bool = True) -> R
 
 
 def reexport_grams(run_dir) -> list:
-    """Rebuild the Gram CSVs of a finished run from its state_*.npz files."""
+    """Write the sample and class-mean Gram CSVs of a finished run from its
+    state_*.npz files (one pair per head directory)."""
     run_dir = Path(run_dir)
     states = sorted(run_dir.rglob("state_*.npz"))
     if not states:

@@ -73,7 +73,8 @@ def pseudo_inverse(m, rel_cutoff: float = DEFAULT_PINV_CUTOFF) -> np.ndarray:
     s_max = s[0] if s.size else 0.0
     if s_max == 0.0:
         return np.zeros((result.vt.shape[1], result.u.shape[0]))
-    inv = np.where(s >= rel_cutoff * s_max, np.divide(1.0, s, where=s > 0), 0.0)
+    reciprocal = np.divide(1.0, s, out=np.zeros_like(s), where=s > 0)
+    inv = np.where(s >= rel_cutoff * s_max, reciprocal, 0.0)
     return (result.vt.T * inv) @ result.u.T
 
 

@@ -1,6 +1,10 @@
 import json
 
+import numpy as np
+import pytest
+
 from collapsekit.cli import main
+from collapsekit.errors import SingularMatrixError
 
 
 def _cfg_lines(**overrides):
@@ -73,9 +77,19 @@ class TestExportGram:
         cfg = _write(tmp_path, "demo.cfg", _cfg_lines())
         out = tmp_path / "out"
         main(["run", str(cfg), "--out", str(out), "--quiet"])
-        (out / "gram_samples.csv").unlink()
+        assert not (out / "gram_samples.csv").exists()
         assert main(["export-gram", str(out)]) == 0
         assert (out / "gram_samples.csv").is_file()
+
+    def test_reexport_both_heads(self, tmp_path, capsys):
+        cfg = _write(tmp_path, "demo.cfg", _cfg_lines(head="both", e_h=0.5))
+        out = tmp_path / "out"
+        main(["run", str(cfg), "--out", str(out), "--quiet"])
+        assert main(["export-gram", str(out)]) == 0
+        printed = capsys.readouterr().out
+        for head in ("explicit", "deq"):
+            assert (out / head / "gram_samples.csv").is_file()
+            assert str(out / head / "gram_samples.csv") in printed
 
     def test_missing_state_exit_2(self, tmp_path, capsys):
         assert main(["export-gram", str(tmp_path)]) == 2
@@ -116,3 +130,26 @@ def test_solver_convergence_exit_code(tmp_path, capsys, monkeypatch):
     cfg = _write(tmp_path, "demo.cfg", _cfg_lines(head="deq", on_failure="error"))
     assert main(["run", str(cfg)]) == 4
     assert "converge" in capsys.readouterr().err
+
+
+def test_artifact_error_exit_code(tmp_path, capsys, monkeypatch):
+    # a failed artifact write or self-validation maps to exit 5
+    def unwritable(cfg, out_dir=None, quiet=True):
+        raise OSError("self-validation failed re-reading trace.csv")
+
+    monkeypatch.setattr("collapsekit.cli.harness.run_experiment", unwritable)
+    cfg = _write(tmp_path, "demo.cfg", _cfg_lines())
+    assert main(["run", str(cfg)]) == 5
+    assert "artifact error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", [SingularMatrixError, np.linalg.LinAlgError])
+def test_linear_algebra_exit_code(tmp_path, capsys, monkeypatch, error):
+    # a singular solve or a failed numpy factorization maps to exit 6
+    def singular(cfg, out_dir=None, quiet=True):
+        raise error("matrix is singular")
+
+    monkeypatch.setattr("collapsekit.cli.harness.run_experiment", singular)
+    cfg = _write(tmp_path, "demo.cfg", _cfg_lines())
+    assert main(["run", str(cfg)]) == 6
+    assert "linear algebra error" in capsys.readouterr().err

@@ -17,6 +17,7 @@ from collapsekit.harness import (
     write_trace_csv,
 )
 from collapsekit.linalg import make_rng
+from collapsekit.lpm import ExplicitHead
 
 TINY = {
     "head": "explicit", "k": 3, "d0": 6, "d": 6, "balanced_n": 4,
@@ -192,7 +193,8 @@ class TestRunExperiment:
         cfg = config_from_dict(dict(TINY), name="tiny")
         record = run_experiment(cfg, out_dir=tmp_path)
         assert (tmp_path / "trace.csv").is_file()
-        assert (tmp_path / "gram_samples.csv").is_file()
+        # the N x N sample Gram is left to export-gram
+        assert not (tmp_path / "gram_samples.csv").exists()
         assert (tmp_path / "gram_class_means.csv").is_file()
         assert (tmp_path / "state_explicit.npz").is_file()
         report = json.loads((tmp_path / "report.json").read_text())
@@ -246,6 +248,23 @@ class TestRunExperiment:
         assert record.condition_report["nc2_distance_explicit"] > 0
         assert record.condition_report["nc3_cosine_ratio"] > 0
 
+    def test_zero_explicit_cosine_leaves_ratio_undefined(self, tmp_path, monkeypatch):
+        def cosine(trace):
+            return 0.0 if isinstance(trace.head, ExplicitHead) else 0.5
+
+        monkeypatch.setattr("collapsekit.harness._mean_class_cosine", cosine)
+        cfg = config_from_dict({
+            "head": "both", "k": 4, "d0": 6, "d": 6,
+            "k_a": 2, "k_b": 2, "n_a": 10, "r": 5,
+            "steps": 20, "log_every": 20, "e_h": 0.5, "feature_budget": 0.5,
+        })
+        record = run_experiment(cfg, out_dir=tmp_path)
+        assert record.condition_report["nc3_cosine_ratio"] is None
+        assert record.condition_report["nc2_distance_explicit"] > 0
+        assert "cosine" in record.condition_note
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["condition_report"]["nc3_cosine_ratio"] is None
+
     def test_condition_note_when_eh_too_large(self, tmp_path):
         cfg = config_from_dict({
             "head": "both", "k": 4, "d0": 6, "d": 6,
@@ -258,12 +277,19 @@ class TestRunExperiment:
 
     def test_reexport_grams(self, tmp_path):
         cfg = config_from_dict(dict(TINY))
-        run_experiment(cfg, out_dir=tmp_path)
-        original = (tmp_path / "gram_samples.csv").read_bytes()
-        (tmp_path / "gram_samples.csv").unlink()
-        written = reexport_grams(tmp_path)
-        assert (tmp_path / "gram_samples.csv").read_bytes() == original
+        run_dir = tmp_path / "run"
+        run_experiment(cfg, out_dir=run_dir)
+        written = reexport_grams(run_dir)
         assert len(written) == 2
+        with np.load(run_dir / "state_explicit.npz") as state:
+            h, labels = state["h"], state["labels"]
+        samples_path, _ = export_gram(h, labels, tmp_path / "direct")
+        assert (run_dir / "gram_samples.csv").read_bytes() == samples_path.read_bytes()
+        with (run_dir / "gram_samples.csv").open() as fh:
+            rows = list(csv.reader(fh))[1:]
+        parsed = np.array([[float(x) for x in row] for row in rows])
+        h_sorted = h[:, np.argsort(labels, kind="stable")]
+        np.testing.assert_array_equal(parsed, h_sorted.T @ h_sorted)
 
     def test_reexport_needs_state(self, tmp_path):
         with pytest.raises(ConfigError, match="state"):
