@@ -21,6 +21,7 @@ import numpy as np
 
 from .etf import etf_gram, gram_distance_to_etf
 from .linalg import as_matrix, make_rng
+from .metrics import class_means
 
 
 # ---------------------------------------------------------------------------
@@ -356,9 +357,7 @@ def extreme_imbalance_report(
     majority_mean_f = float(col_norms[majority_mask].mean())
     minority_max_f = float(col_norms[~majority_mask].max()) if k_a < k else 0.0
 
-    means = np.zeros((h.shape[0], k_a))
-    for c in range(k_a):
-        means[:, c] = h[:, labels == c].mean(axis=1)
+    means = class_means(h, labels, k)[:, :k_a]
     majority_etf_distance = gram_distance_to_etf(means.T @ means, k_a)
 
     weight_ratio = minority_max_w / majority_mean_w if majority_mean_w > 0 else float("inf")

@@ -84,10 +84,16 @@ def gram_distance_to_etf(gram, k: int) -> float:
         raise ValueError(f"gram must be {k}x{k}, got {gram.shape}")
     if not np.allclose(gram, gram.T, rtol=1e-8, atol=1e-8 * max(1.0, np.abs(gram).max())):
         raise ValueError("gram must be symmetric")
+    return normalized_gram_distance(gram, normalized_etf_gram(k))
+
+
+def normalized_gram_distance(gram: np.ndarray, target: np.ndarray) -> float:
+    """|| gram / ||gram||_F - target ||_F for a validated gram and a
+    precomputed target (see normalized_etf_gram)."""
     norm = np.linalg.norm(gram)
     if norm == 0.0:
         raise ValueError("gram has zero Frobenius norm")
-    return float(np.linalg.norm(gram / norm - normalized_etf_gram(k)))
+    return float(np.linalg.norm(gram / norm - target))
 
 
 def gram_distance_to_etf_raw(gram, k: int, alpha: float) -> float:

@@ -45,6 +45,7 @@ from .errors import ConfigError
 from .etf import gram_distance_to_etf_raw
 from .linalg import make_rng
 from .lpm import FeatureSet, TrainConfig, TrainTrace
+from .metrics import class_means
 
 HEAD_CHOICES = ("explicit", "deq", "both")
 
@@ -347,7 +348,7 @@ def export_class_mean_gram(features_h, labels, out_dir) -> Path:
     h = np.asarray(features_h, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     k = int(labels.max()) + 1
-    means = np.column_stack([h[:, labels == c].mean(axis=1) for c in range(k)])
+    means = class_means(h, labels, k)
     mean_gram = means.T @ means
     means_path = out_dir / "gram_class_means.csv"
     header = [f"g_{j}" for j in range(k)]
@@ -450,10 +451,7 @@ def _head_summary(head_name: str, trace: TrainTrace, trace_path: Path, h0_sha: s
 
 def _class_mean_features(trace: TrainTrace) -> np.ndarray:
     h = lpm.head_features(trace.head, trace.features.h0)
-    labels = trace.features.labels
-    return np.column_stack(
-        [h[:, labels == c].mean(axis=1) for c in range(trace.features.k)]
-    )
+    return class_means(h, trace.features.labels, trace.features.k)
 
 
 def _mean_class_cosine(trace: TrainTrace) -> float:
@@ -482,9 +480,7 @@ def compare_heads(cfg: ExperimentConfig, features_init: FeatureSet, traces: dict
     if cfg.train.e_h >= 1.0:
         return None, "e_h >= 1: comparison conditions undefined (1/(1-e_h) diverges)"
     target = imbalance_etf_target(cfg.k, cfg.train.feature_budget)
-    h0 = features_init.h0
-    labels = features_init.labels
-    means0 = np.column_stack([h0[:, labels == c].mean(axis=1) for c in range(cfg.k)])
+    means0 = class_means(features_init.h0, features_init.labels, cfg.k)
     conditions = comparison_conditions(
         cfg.train.e_w, cfg.train.e_h, means0.T @ means0, target
     )

@@ -23,7 +23,9 @@ Two determinism details are deliberate:
     relabeling classes (with the matching row permutation of W) reproduces
     a training run bit for bit;
   * ball projections iterate the shrink factor to a floating-point fixed
-    point, so projecting twice is exactly projecting once.
+    point, so projecting twice is exactly projecting once whenever the
+    projection clears its budget (a rescale that stalls one ulp above the
+    budget is kept, and a second projection rescales again).
 """
 
 from __future__ import annotations
@@ -36,8 +38,9 @@ import numpy as np
 
 from .deq import DeqWeights, SolverPolicy, fixed_point_iterate
 from .errors import TrainingDivergedError
-from .linalg import DEFAULT_PINV_CUTOFF, as_matrix, solve_linear
-from .metrics import NcReport, nc_report
+from .linalg import DEFAULT_PINV_CUTOFF, as_matrix, check_conditioning, solve_linear
+from .metrics import ClassPartition, NcReport, NcReporter
+from .metrics import nc_report  # noqa: F401  (lpm.nc_report: wrapped by perfbench/tracer.py)
 
 # Above this head dimension the training forward falls back to Picard
 # iteration instead of a direct solve.
@@ -221,12 +224,27 @@ def classifier_mean_square(w: np.ndarray) -> float:
     return float(np.sum(np.sort(row_sq)) / w.shape[0])
 
 
-def feature_norm_functional(h: np.ndarray, labels: np.ndarray, k: int) -> float:
-    """(1/K) sum_k (1/n_k) sum_{i in k} ||h_i||^2, accumulated in sample order."""
-    counts = np.bincount(labels, minlength=k)
-    weights = 1.0 / (k * counts[labels])
+def _feature_norm(h: np.ndarray, weights: np.ndarray) -> float:
+    # weights are a ClassPartition's per-sample 1 / (K n_y)
     col_sq = np.einsum("dn,dn->n", h, h)
     return float(np.dot(col_sq, weights))
+
+
+def feature_norm_functional(h: np.ndarray, labels: np.ndarray, k: int) -> float:
+    """(1/K) sum_k (1/n_k) sum_{i in k} ||h_i||^2, accumulated in sample order."""
+    return _feature_norm(h, ClassPartition.build(labels, k).weights)
+
+
+def _softmax_terms(logits: np.ndarray, labels: np.ndarray, cols: np.ndarray):
+    """Per-sample cross-entropy, exp(max-shifted logits) and its class sums.
+
+    The one softmax kernel behind cross_entropy, the training step and
+    loss_and_grads; cols is np.arange(N).
+    """
+    shifted = logits - logits.max(axis=0, keepdims=True)
+    exp = np.exp(shifted)
+    denom = _sum_classes(exp)
+    return np.log(denom) - shifted[labels, cols], exp, denom
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +255,7 @@ def _is_explicit(head: HeadModel) -> bool:
     return isinstance(head, ExplicitHead)
 
 
-def _apply_head_raw(head: HeadModel, head_w: np.ndarray, h0: np.ndarray):
+def _apply_head_raw(head: HeadModel, h0: np.ndarray):
     """Head output plus the keep-mask implied by the solver policy.
 
     keep is None when every sample is usable. Only the iterative path with
@@ -245,30 +263,25 @@ def _apply_head_raw(head: HeadModel, head_w: np.ndarray, h0: np.ndarray):
     the equilibrium exists.
     """
     if _is_explicit(head):
-        return head_w @ h0, None
-    d = head_w.shape[0]
-    weights = DeqWeights(w=head_w, e_h=float(np.linalg.norm(head_w)) + 1.0)
-    if d <= CLOSED_FORM_MAX_DIM:
+        return head.w_ex @ h0, None
+    if head.d <= CLOSED_FORM_MAX_DIM:
         from .deq import fixed_point_closed_form
 
-        return fixed_point_closed_form(weights, h0), None
-    result = fixed_point_iterate(weights, h0, head.policy)
+        return fixed_point_closed_form(head.weights, h0), None
+    result = fixed_point_iterate(head.weights, h0, head.policy)
     keep = None
     if not result.converged and head.policy.on_failure == "skip":
         keep = result.column_residuals <= head.policy.epsilon
     return result.z_star, keep
 
 
-def _loss_grads_raw(h0, labels, head, head_w, w):
-    h, keep = _apply_head_raw(head, head_w, h0)
+def _loss_grads_raw(h0, labels, head, w):
+    h, keep = _apply_head_raw(head, h0)
     logits = w @ h
 
     n = logits.shape[1]
     cols = np.arange(n)
-    shifted = logits - logits.max(axis=0, keepdims=True)
-    exp = np.exp(shifted)
-    z = _sum_classes(exp)
-    per_sample = np.log(z) - shifted[labels, cols]
+    per_sample, exp, z = _softmax_terms(logits, labels, cols)
     if keep is None:
         n_kept = n
         loss = float(np.mean(per_sample))
@@ -289,6 +302,7 @@ def _loss_grads_raw(h0, labels, head, head_w, w):
     order = _class_order(w)
     upstream = w[order].T @ g[order]
 
+    head_w = _head_weight(head)
     if _is_explicit(head):
         grad_head = upstream @ h0.T
         grad_h0 = head_w.T @ upstream
@@ -302,9 +316,11 @@ def _loss_grads_raw(h0, labels, head, head_w, w):
 def _shrink_to_ball(block: np.ndarray, value_fn, budget: float, squared: bool):
     """Radially rescale block until value_fn(block) <= budget.
 
-    The shrink factor is re-applied until the recomputed functional clears
-    the budget or stops moving, which makes the projection an exact
-    floating-point fixed point (projecting twice == projecting once).
+    Returns the block and value_fn of that block. The shrink factor is
+    re-applied until the recomputed functional clears the budget or stops
+    moving, which makes the projection an exact floating-point fixed point
+    (projecting twice == projecting once) whenever the value clears the
+    budget.
     """
     value = value_fn(block)
     for _ in range(4):
@@ -316,22 +332,27 @@ def _shrink_to_ball(block: np.ndarray, value_fn, budget: float, squared: bool):
             break
         block = block * factor
         new_value = value_fn(block)
-        if new_value >= value:
-            break
+        stalled = new_value >= value
         value = new_value
-    return block
+        if stalled:
+            break
+    return block, value
 
 
-def _project_raw(h0, labels, k, head, head_w, w, cfg: TrainConfig):
-    w = _shrink_to_ball(w, classifier_mean_square, cfg.e_w, squared=True)
-    head_w = _shrink_to_ball(head_w, np.linalg.norm, cfg.e_h, squared=False)
+def _project_raw(h0, weights, head, w, cfg: TrainConfig):
+    """Project (H0, head, W); weights are the feature functional's."""
+    w, _ = _shrink_to_ball(w, classifier_mean_square, cfg.e_w, squared=True)
+    head_w, _ = _shrink_to_ball(_head_weight(head), np.linalg.norm, cfg.e_h, squared=False)
+    head_budget = head.e_h if _is_explicit(head) else head.weights.e_h
+    if head_w is not _head_weight(head) or head_budget != cfg.e_h:
+        head = _rebuild_head(head, head_w, cfg.e_h)
 
     def induced(h0_candidate):
-        h, _ = _apply_head_raw(head, head_w, h0_candidate)
-        return feature_norm_functional(h, labels, k)
+        h, _ = _apply_head_raw(head, h0_candidate)
+        return _feature_norm(h, weights)
 
-    h0 = _shrink_to_ball(h0, induced, cfg.feature_budget, squared=True)
-    return h0, head_w, w
+    h0, _ = _shrink_to_ball(h0, induced, cfg.feature_budget, squared=True)
+    return h0, head, w
 
 
 def _head_weight(head: HeadModel) -> np.ndarray:
@@ -344,6 +365,28 @@ def _rebuild_head(head: HeadModel, head_w: np.ndarray, e_h: float) -> HeadModel:
     return DeqHead(weights=DeqWeights(w=head_w, e_h=e_h), policy=head.policy)
 
 
+def _preimage_operator(head: HeadModel):
+    """The map z -> H0 with head(H0) = z, with its constants built once:
+    the deq link I - W, the explicit head's conditioning check, or its
+    pseudo-inverse when d0 > d."""
+    head_w = _head_weight(head)
+    if not _is_explicit(head):
+        link = np.eye(head_w.shape[0]) - head_w
+        return lambda z: link @ z
+    d, d0 = head_w.shape
+    if d == d0:
+        check_conditioning(head_w)
+        return lambda z: np.linalg.solve(head_w, z)
+    if d0 > d:
+        from .linalg import pseudo_inverse
+
+        pinv = pseudo_inverse(head_w, 1e-12)
+        return lambda z: pinv @ z
+    raise ValueError(
+        f"explicit head maps {d0} -> {d} dims; d0 >= d is required for an exact preimage"
+    )
+
+
 def head_preimage(head: HeadModel, z: np.ndarray) -> np.ndarray:
     """Backbone features H0 whose head output is exactly z.
 
@@ -352,19 +395,10 @@ def head_preimage(head: HeadModel, z: np.ndarray) -> np.ndarray:
     scaled-orthogonal initialization guarantees; the minimum-norm preimage
     is returned when d0 > d.
     """
-    head_w = _head_weight(head)
-    if not _is_explicit(head):
-        return (np.eye(head_w.shape[0]) - head_w) @ z
-    d, d0 = head_w.shape
-    if d == d0:
-        return solve_linear(head_w, z)
-    if d0 > d:
-        from .linalg import pseudo_inverse
-
-        return pseudo_inverse(head_w, 1e-12) @ z
-    raise ValueError(
-        f"explicit head maps {d0} -> {d} dims; d0 >= d is required for an exact preimage"
-    )
+    z = as_matrix(z, "z")
+    if z.shape[0] != head.d:
+        raise ValueError(f"z has {z.shape[0]} rows, head outputs {head.d}")
+    return _preimage_operator(head)(z)
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +412,7 @@ def head_features(head: HeadModel, h0) -> np.ndarray:
     Picard iteration above it; both paths produce the same equilibrium for a
     contraction, which the tests cross-check.
     """
-    h, _ = _apply_head_raw(head, _head_weight(head), as_matrix(h0, "h0"))
+    h, _ = _apply_head_raw(head, as_matrix(h0, "h0"))
     return h
 
 
@@ -386,11 +420,8 @@ def cross_entropy(logits, labels) -> float:
     """Mean negative log-softmax of the true-class logit, max-shift stabilized."""
     logits = as_matrix(logits, "logits")
     labels = np.asarray(labels, dtype=np.int64)
-    n = logits.shape[1]
-    shifted = logits - logits.max(axis=0, keepdims=True)
-    log_z = np.log(_sum_classes(np.exp(shifted)))
-    true_logit = shifted[labels, np.arange(n)]
-    return float(np.mean(log_z - true_logit))
+    per_sample, _, _ = _softmax_terms(logits, labels, np.arange(logits.shape[1]))
+    return float(np.mean(per_sample))
 
 
 def accuracy(logits, labels) -> float:
@@ -418,7 +449,7 @@ def loss_and_grads(features: FeatureSet, head: HeadModel, cls: ClassifierWeights
     Samples masked by the solver policy are excluded from the mean.
     """
     loss, gw, ghead, gh0, logits, h = _loss_grads_raw(
-        features.h0, features.labels, head, _head_weight(head), cls.w
+        features.h0, features.labels, head, cls.w
     )
     return loss, {"w": gw, "head": ghead, "h0": gh0}, logits, h
 
@@ -437,47 +468,52 @@ def project_feasible(
     scales head(H0) by the same factor). Blocks inside their balls are
     returned untouched.
     """
-    h0, head_w, w = _project_raw(
-        features.h0, features.labels, features.k, head, _head_weight(head), cls.w, cfg
-    )
+    weights = ClassPartition.build(features.labels, features.k).weights
+    h0, head, w = _project_raw(features.h0, weights, head, cls.w, cfg)
     if h0 is not features.h0:
         features = replace(features, h0=h0)
     if w is not cls.w or cls.e_w != cfg.e_w:
         cls = ClassifierWeights(w=w, e_w=cfg.e_w)
-    head_budget = head.e_h if _is_explicit(head) else head.weights.e_h
-    if head_w is not _head_weight(head) or head_budget != cfg.e_h:
-        head = _rebuild_head(head, head_w, cfg.e_h)
     return features, head, cls
 
 
-def _snapshot(step, z, h0, labels, k, head, head_w, w, cfg) -> TraceSnapshot:
-    logits = w @ z
-    loss = cross_entropy(logits, labels)
-    report = nc_report(
-        z,
-        labels,
-        w,
-        logits,
-        loss,
-        cutoff=cfg.metric_cutoff,
-        minority_classes=cfg.minority_classes,
-    )
-    mean_iters, skip_count = 0.0, 0
+def _snapshotter(head: HeadModel, preimage, partition: ClassPartition, cfg: TrainConfig):
+    """snapshot(step, z, w, h0=None) -> TraceSnapshot, with the run's
+    metric constants and Picard policy built once.
+
+    h0 defaults to preimage(z); only the deq head's Picard diagnostic
+    reads it.
+    """
+    reporter = NcReporter.build(partition, cfg.metric_cutoff, cfg.minority_classes)
+    labels = partition.labels
+    cols = np.arange(labels.shape[0])
     if not _is_explicit(head):
-        weights = DeqWeights(w=head_w, e_h=float(np.linalg.norm(head_w)) + 1.0)
-        result = fixed_point_iterate(
-            weights, h0, replace(head.policy, on_failure="accept-last")
+        diagnostic_policy = replace(head.policy, on_failure="accept-last")
+
+    def snapshot(step, z, w, h0=None) -> TraceSnapshot:
+        z = as_matrix(z, "features")
+        w = as_matrix(w, "w")
+        logits = w @ z
+        per_sample, _, _ = _softmax_terms(logits, labels, cols)
+        loss = float(np.mean(per_sample))
+        report = reporter.report(z, w, logits, loss)
+        mean_iters, skip_count = 0.0, 0
+        if not _is_explicit(head):
+            result = fixed_point_iterate(
+                head.weights, preimage(z) if h0 is None else h0, diagnostic_policy
+            )
+            mean_iters = float(result.iterations)
+            skip_count = int(np.count_nonzero(result.column_residuals > head.policy.epsilon))
+        return TraceSnapshot(
+            step=step,
+            loss=loss,
+            accuracy=report.accuracy,
+            report=report,
+            solver_mean_iters=mean_iters,
+            solver_skip_count=skip_count,
         )
-        mean_iters = float(result.iterations)
-        skip_count = int(np.count_nonzero(result.column_residuals > head.policy.epsilon))
-    return TraceSnapshot(
-        step=step,
-        loss=loss,
-        accuracy=report.accuracy,
-        report=report,
-        solver_mean_iters=mean_iters,
-        solver_skip_count=skip_count,
-    )
+
+    return snapshot
 
 
 def train(
@@ -495,17 +531,31 @@ def train(
     after every update; snapshots are recorded at step 0, every
     cfg.log_every steps, and at the final step. A non-finite loss aborts
     with TrainingDivergedError carrying the trace collected so far.
+
+    Built once per run and reused by every step and snapshot:
+      * the class partition: per-class index arrays, class counts and the
+        feature functional's sample weights 1 / (K n_y);
+      * the projected head (a validated DeqWeights for the equilibrium
+        head) and its preimage operator: the explicit head's conditioning
+        check, or the deq link I - W;
+      * the NC metric constants (cosine pair indices, normalized ETF
+        target) and the deq head's accept-last Picard policy;
+      * the head's slack term, constant because the head weight is.
+    Each projection returns its functional's value, which the slack reuses.
     """
     labels, k = features.labels, features.k
-    h0, head_w, w = features.h0, _head_weight(head), cls.w
-    h0, head_w, w = _project_raw(h0, labels, k, head, head_w, w, cfg)
-    head = _rebuild_head(head, head_w, cfg.e_h)
-    z, _ = _apply_head_raw(head, head_w, h0)
+    partition = ClassPartition.build(labels, k)
+    weights = partition.weights
+    h0, head, w = _project_raw(features.h0, weights, head, cls.w, cfg)
+    z, _ = _apply_head_raw(head, h0)
+    preimage = _preimage_operator(head)
+    snapshot = _snapshotter(head, preimage, partition, cfg)
+    head_slack = float(np.linalg.norm(_head_weight(head))) / cfg.e_h - 1.0
     n = z.shape[1]
     cols = np.arange(n)
 
     trace = TrainTrace()
-    trace.snapshots.append(_snapshot(0, z, h0, labels, k, head, head_w, w, cfg))
+    trace.snapshots.append(snapshot(0, z, w, h0))
     losses = []
     v_w = np.zeros_like(w)
     v_z = np.zeros_like(z)
@@ -515,7 +565,7 @@ def train(
         trace.loss_history = np.asarray(losses)
         trace.feasibility_slack_max = slack_max
         if np.all(np.isfinite(z)) and np.all(np.isfinite(w)):
-            trace.features = replace(features, h0=head_preimage(head, z))
+            trace.features = replace(features, h0=preimage(z))
             trace.head = head
             trace.classifier = ClassifierWeights(w=w, e_w=cfg.e_w)
         # on a non-finite abort the last valid snapshot already holds the
@@ -523,10 +573,8 @@ def train(
 
     for step in range(1, cfg.steps + 1):
         logits = w @ z
-        shifted = logits - logits.max(axis=0, keepdims=True)
-        exp = np.exp(shifted)
-        denom = _sum_classes(exp)
-        loss = float(np.mean(np.log(denom) - shifted[labels, cols]))
+        per_sample, exp, denom = _softmax_terms(logits, labels, cols)
+        loss = float(np.mean(per_sample))
         if not math.isfinite(loss):
             finalize()
             raise TrainingDivergedError(
@@ -546,21 +594,19 @@ def train(
         w = w - cfg.learning_rate * v_w
         z = z - cfg.learning_rate * v_z
 
-        w = _shrink_to_ball(w, classifier_mean_square, cfg.e_w, squared=True)
-        z = _shrink_to_ball(
-            z, lambda b: feature_norm_functional(b, labels, k), cfg.feature_budget,
-            squared=True,
+        w, w_value = _shrink_to_ball(w, classifier_mean_square, cfg.e_w, squared=True)
+        z, z_value = _shrink_to_ball(
+            z, lambda b: _feature_norm(b, weights), cfg.feature_budget, squared=True
         )
         slack_max = max(
             slack_max,
-            classifier_mean_square(w) / cfg.e_w - 1.0,
-            float(np.linalg.norm(head_w)) / cfg.e_h - 1.0,
-            feature_norm_functional(z, labels, k) / cfg.feature_budget - 1.0,
+            w_value / cfg.e_w - 1.0,
+            head_slack,
+            z_value / cfg.feature_budget - 1.0,
         )
 
         if step % cfg.log_every == 0 or step == cfg.steps:
-            h0 = head_preimage(head, z)
-            trace.snapshots.append(_snapshot(step, z, h0, labels, k, head, head_w, w, cfg))
+            trace.snapshots.append(snapshot(step, z, w))
 
     finalize()
     return trace

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from collapsekit.etf import make_etf
 from collapsekit.linalg import make_rng
 from collapsekit.metrics import (
+    ClassPartition,
     class_statistics,
     mean_pairwise_cosine,
     minority_collapse_index,
@@ -239,3 +242,73 @@ class TestNcReport:
             "per_class_accuracy", "per_class_weight_norm",
             "minority_mean_pairwise_cosine",
         }
+
+
+class TestClassPartition:
+    @pytest.mark.parametrize("sort_labels", [False, True])
+    def test_matches_masked_reductions_bit_for_bit(self, sort_labels):
+        rng = make_rng(12)
+        labels = rng.permutation(np.repeat(np.arange(4), [7, 1, 30, 3]))
+        if sort_labels:
+            labels = np.sort(labels)
+        h = rng.standard_normal((5, labels.size))
+        partition = ClassPartition.build(labels, 4)
+        masked = np.column_stack([h[:, labels == c].mean(axis=1) for c in range(4)])
+        np.testing.assert_array_equal(partition.class_means(h), masked)
+        np.testing.assert_array_equal(
+            partition.weights, 1.0 / (4 * np.bincount(labels)[labels])
+        )
+        correct = rng.random(labels.size) < 0.6
+        masked_acc = [np.mean(correct[labels == c]) for c in range(4)]
+        np.testing.assert_array_equal(partition.class_accuracy(correct), masked_acc)
+
+
+def _near_collapse(seed, k, extra_dims, noise):
+    """Features and classifier rows scattered around a random simplex ETF,
+    with unsorted labels and unequal class counts. The noise range keeps
+    Sigma_B well conditioned and every metric away from zero, where a
+    relative tolerance means something."""
+    rng = make_rng(seed)
+    d = k + extra_dims
+    labels = rng.permutation(np.repeat(np.arange(k), rng.integers(1, 6, size=k)))
+    frame = make_etf(k, d, 1.0, rng)
+    h = frame.s[:, labels] + noise * rng.standard_normal((d, labels.size))
+    w = frame.s.T + noise * rng.standard_normal((k, d))
+    return rng, labels, h, w
+
+
+_NEAR_COLLAPSE = dict(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(2, 6),
+    extra_dims=st.integers(0, 3),
+    noise=st.floats(0.1, 0.5),
+)
+
+
+class TestNcReportProperties:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(minority=st.booleans(), **_NEAR_COLLAPSE)
+    def test_joint_relabeling_invariance(self, seed, k, extra_dims, noise, minority):
+        rng, labels, h, w = _near_collapse(seed, k, extra_dims, noise)
+        classes = tuple(range(1, k)) if minority and k > 2 else None
+        perm = rng.permutation(k)  # class c becomes class perm[c]
+        w_relabeled = w[np.argsort(perm)]
+        base = nc_report(h, labels, w, w @ h, 0.5, minority_classes=classes)
+        relabeled = nc_report(
+            h, perm[labels], w_relabeled, w_relabeled @ h, 0.5,
+            minority_classes=None if classes is None else tuple(perm[list(classes)]),
+        )
+        for name in ("nc1", "nc2", "nc3", "accuracy", "minority_mean_pairwise_cosine"):
+            assert getattr(relabeled, name) == pytest.approx(getattr(base, name), rel=1e-12)
+        for name in ("per_class_accuracy", "per_class_weight_norm"):
+            np.testing.assert_allclose(
+                np.asarray(getattr(relabeled, name))[perm], getattr(base, name), rtol=1e-12
+            )
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(log_scale=st.floats(-3.0, 3.0), **_NEAR_COLLAPSE)
+    def test_nc2_invariant_under_feature_rescaling(self, seed, k, extra_dims, noise, log_scale):
+        _, labels, h, _ = _near_collapse(seed, k, extra_dims, noise)
+        base = nc2(class_statistics(h, labels, k).class_means)
+        scaled = nc2(class_statistics(10.0**log_scale * h, labels, k).class_means)
+        assert scaled == pytest.approx(base, rel=1e-12)
