@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix
+from .linalg import as_matrix, frobenius_norms
 
 
 def centering_matrix(k: int) -> np.ndarray:
@@ -84,16 +84,16 @@ def gram_distance_to_etf(gram, k: int) -> float:
         raise ValueError(f"gram must be {k}x{k}, got {gram.shape}")
     if not np.allclose(gram, gram.T, rtol=1e-8, atol=1e-8 * max(1.0, np.abs(gram).max())):
         raise ValueError("gram must be symmetric")
-    return normalized_gram_distance(gram, normalized_etf_gram(k))
+    return float(normalized_gram_distance(gram[None], normalized_etf_gram(k))[0])
 
 
-def normalized_gram_distance(gram: np.ndarray, target: np.ndarray) -> float:
-    """|| gram / ||gram||_F - target ||_F for a validated gram and a
-    precomputed target (see normalized_etf_gram)."""
-    norm = np.linalg.norm(gram)
-    if norm == 0.0:
+def normalized_gram_distance(grams: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """|| G / ||G||_F - target ||_F for each validated gram G of a B x K x K
+    stack and a precomputed target (see normalized_etf_gram)."""
+    norms = frobenius_norms(grams)
+    if np.any(norms == 0.0):
         raise ValueError("gram has zero Frobenius norm")
-    return float(np.linalg.norm(gram / norm - target))
+    return frobenius_norms(grams / norms[:, None, None] - target)
 
 
 def gram_distance_to_etf_raw(gram, k: int, alpha: float) -> float:

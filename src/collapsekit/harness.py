@@ -119,6 +119,15 @@ class ExperimentConfig:
             raise ConfigError("k must be at least 2")
         if self.d < 2 or self.d0 < 1:
             raise ConfigError("need d >= 2 and d0 >= 1")
+        if self.d0 < self.d:
+            # every run draws the explicit head, which maps d0 -> d dims and
+            # needs rank d for an exact preimage
+            raise ConfigError(f"need d0 >= d, got d0={self.d0}, d={self.d}")
+        if self.head != "explicit" and self.d0 != self.d:
+            raise ConfigError(
+                f"head = {self.head} needs d0 = d (the equilibrium head is square), "
+                f"got d0={self.d0}, d={self.d}"
+            )
         if (self.balanced_n is None) == (self.imbalance is None):
             raise ConfigError("exactly one of balanced_n / imbalance must be given")
         if self.balanced_n is not None and self.balanced_n < 1:
@@ -616,24 +625,40 @@ def run_sweep(config_dir, preset: str = "desk", out_root=None, seed=None,
               max_workers: Optional[int] = None) -> dict:
     """Run every *.cfg under config_dir concurrently, one worker per config.
 
-    Runs are fully isolated; the aggregator merges RunRecords keyed by
-    config hash into sweep_summary.json alongside the configs (or under
-    out_root when given).
+    Runs are fully isolated: a config that raises does not stop the others.
+    The aggregator merges RunRecords keyed by config hash into
+    sweep_summary.json alongside the configs (or under out_root when given),
+    plus one record per failed config, keyed by its file name, with its
+    name, error class and message. The summary is written before the first
+    failure (in file order) is re-raised, so the CLI exits with that
+    error's code.
     """
     config_dir = Path(config_dir)
     paths = sorted(str(p) for p in config_dir.glob("*.cfg"))
     if not paths:
         raise ConfigError(f"no *.cfg files in {config_dir}")
     jobs = [(p, preset, str(out_root) if out_root else None, seed) for p in paths]
-    merged = {}
+    merged, failures = {}, []
     with concurrent.futures.ProcessPoolExecutor(max_workers=max_workers) as pool:
-        for config_hash, record in pool.map(_sweep_worker, jobs):
-            merged[config_hash] = record
+        futures = [pool.submit(_sweep_worker, job) for job in jobs]
+        for path, future in zip(paths, futures):
+            try:
+                config_hash, record = future.result()
+            except Exception as exc:  # reported in the summary, then re-raised
+                failures.append(exc)
+                path = Path(path)
+                merged[path.name] = {
+                    "name": path.stem, "error": type(exc).__name__, "message": str(exc),
+                }
+            else:
+                merged[config_hash] = record
     summary_dir = Path(out_root) if out_root else config_dir
     summary_dir.mkdir(parents=True, exist_ok=True)
     (summary_dir / "sweep_summary.json").write_text(
         json.dumps(merged, indent=2, sort_keys=True)
     )
+    if failures:
+        raise failures[0]
     return merged
 
 

@@ -29,11 +29,28 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     m = np.asarray(a, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got ndim={m.ndim}")
-    if m.shape[0] < 1 or m.shape[1] < 1:
+    return as_stack(m, name)
+
+
+def as_stack(a, name: str = "matrix") -> np.ndarray:
+    """Coerce to a finite float64 array of one matrix or a (..., M, N)
+    stack of them, validating shape and entries."""
+    m = np.asarray(a, dtype=np.float64)
+    if m.ndim < 2:
+        raise ValueError(f"{name} must be at least 2-D, got ndim={m.ndim}")
+    if m.shape[-2] < 1 or m.shape[-1] < 1:
         raise ValueError(f"{name} must have at least one row and column, got {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{name} contains non-finite entries")
     return m
+
+
+def frobenius_norms(m: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a B x M x N stack: the square root of
+    one (1 x MN) @ (MN x 1) product per matrix. On a C-contiguous matrix
+    this has the bits of np.linalg.norm on that matrix alone."""
+    flat = m.reshape(m.shape[0], 1, -1)
+    return np.sqrt((flat @ flat.swapaxes(-1, -2))[:, 0, 0])
 
 
 @dataclass(frozen=True)
@@ -62,20 +79,23 @@ def svd(m) -> SvdResult:
 
 
 def pseudo_inverse(m, rel_cutoff: float = DEFAULT_PINV_CUTOFF) -> np.ndarray:
-    """Moore-Penrose pseudo-inverse via SVD.
+    """Moore-Penrose pseudo-inverse via SVD, of one M x N matrix or of every
+    matrix in a (..., M, N) stack.
 
-    Singular values below rel_cutoff * sigma_max are treated as exactly zero.
+    Singular values below rel_cutoff * sigma_max of their own matrix are
+    treated as exactly zero, and an all-zero matrix maps to zeros. A stack
+    takes one batched SVD and batched products, and each of its matrices
+    gets the bits of its own 2-D call.
     """
     if not (0.0 < rel_cutoff < 1.0):
         raise ValueError(f"rel_cutoff must lie in (0, 1), got {rel_cutoff}")
-    result = svd(m)
-    s = result.singular_values
-    s_max = s[0] if s.size else 0.0
-    if s_max == 0.0:
-        return np.zeros((result.vt.shape[1], result.u.shape[0]))
+    u, s, vt = np.linalg.svd(as_stack(m), full_matrices=False)
+    s_max = s[..., :1]
     reciprocal = np.divide(1.0, s, out=np.zeros_like(s), where=s > 0)
     inv = np.where(s >= rel_cutoff * s_max, reciprocal, 0.0)
-    return (result.vt.T * inv) @ result.u.T
+    pinv = (vt.swapaxes(-1, -2) * inv[..., None, :]) @ u.swapaxes(-1, -2)
+    pinv[s_max[..., 0] == 0.0] = 0.0
+    return pinv
 
 
 def spectral_radius_bound(m) -> float:

@@ -18,6 +18,12 @@ in rank-deficient constrained stationary points far from the program's
 optimum (see the chain-rule gradients in loss_and_grads, which remain the
 public differentiation API and are verified against finite differences).
 
+Snapshots are recorded, not evaluated, when train() takes them: a record
+holds the step's z and w with the logits and loss the training loop
+computes for that state anyway. Pending records are evaluated in chunks,
+the NC metrics of a chunk in one stacked pass (NcReporter.reports), each
+state with the bits it would get alone.
+
 Two determinism details are deliberate:
   * reductions over the class axis run in a canonical row order, so
     relabeling classes (with the matching row permutation of W) reproduces
@@ -45,6 +51,13 @@ from .metrics import nc_report  # noqa: F401  (lpm.nc_report: wrapped by perfben
 # Above this head dimension the training forward falls back to Picard
 # iteration instead of a direct solve.
 CLOSED_FORM_MAX_DIM = 512
+
+# train() evaluates its snapshots in stacked chunks whose features hold at
+# most this many float64 elements (256 KB): 10 states at K=10, N=200, D=16,
+# and one at N=1535. Only the D x N features are counted; a chunk's K x N
+# logits and the copies its evaluation makes come on top. A chunk capped by
+# count alone raised peak memory at large N.
+SNAPSHOT_CHUNK_ELEMENTS = 2**15
 
 
 # ---------------------------------------------------------------------------
@@ -477,43 +490,60 @@ def project_feasible(
     return features, head, cls
 
 
-def _snapshotter(head: HeadModel, preimage, partition: ClassPartition, cfg: TrainConfig):
-    """snapshot(step, z, w, h0=None) -> TraceSnapshot, with the run's
-    metric constants and Picard policy built once.
+class _SnapshotBuffer:
+    """train()'s snapshot records, evaluated in stacked chunks and
+    appended in step order to snapshots (see train).
 
-    h0 defaults to preimage(z); only the deq head's Picard diagnostic
-    reads it.
+    pending holds (step, z, w, logits, loss, h0) per record, h0 given at
+    step 0 only. The run's metric constants and the deq head's accept-last
+    Picard policy are built once.
     """
-    reporter = NcReporter.build(partition, cfg.metric_cutoff, cfg.minority_classes)
-    labels = partition.labels
-    cols = np.arange(labels.shape[0])
-    if not _is_explicit(head):
-        diagnostic_policy = replace(head.policy, on_failure="accept-last")
 
-    def snapshot(step, z, w, h0=None) -> TraceSnapshot:
-        z = as_matrix(z, "features")
-        w = as_matrix(w, "w")
-        logits = w @ z
-        per_sample, _, _ = _softmax_terms(logits, labels, cols)
-        loss = float(np.mean(per_sample))
-        report = reporter.report(z, w, logits, loss)
-        mean_iters, skip_count = 0.0, 0
+    def __init__(self, head: HeadModel, preimage, partition: ClassPartition,
+                 cfg: TrainConfig, feature_size: int, snapshots: list):
+        self.reporter = NcReporter.build(partition, cfg.metric_cutoff, cfg.minority_classes)
+        self.head = head
+        self.preimage = preimage
         if not _is_explicit(head):
-            result = fixed_point_iterate(
-                head.weights, preimage(z) if h0 is None else h0, diagnostic_policy
-            )
-            mean_iters = float(result.iterations)
-            skip_count = int(np.count_nonzero(result.column_residuals > head.policy.epsilon))
-        return TraceSnapshot(
-            step=step,
-            loss=loss,
-            accuracy=report.accuracy,
-            report=report,
-            solver_mean_iters=mean_iters,
-            solver_skip_count=skip_count,
-        )
+            self.policy = replace(head.policy, on_failure="accept-last")
+        self.chunk = max(1, SNAPSHOT_CHUNK_ELEMENTS // feature_size)
+        self.pending = []
+        self.snapshots = snapshots
 
-    return snapshot
+    def record(self, step, z, w, logits, loss, h0=None) -> None:
+        """Take a snapshot of the state (z, w) with its logits w @ z and its
+        loss, and evaluate the pending ones once they fill a chunk; a
+        non-finite z or w raises ValueError here."""
+        z, w = as_matrix(z, "features"), as_matrix(w, "w")
+        self.pending.append((step, z, w, logits, loss, h0))
+        if len(self.pending) == self.chunk:
+            self.flush()
+
+    def flush(self) -> None:
+        """Evaluate every pending record in one stacked pass."""
+        if not self.pending:
+            return
+        steps, zs, ws, logits, losses, h0s = zip(*self.pending)
+        self.pending = []
+        reports = self.reporter.reports(np.stack(zs), np.stack(ws), np.stack(logits), losses)
+        for step, z, h0, loss, report in zip(steps, zs, h0s, losses, reports):
+            mean_iters, skip_count = 0.0, 0
+            if not _is_explicit(self.head):
+                result = fixed_point_iterate(
+                    self.head.weights, self.preimage(z) if h0 is None else h0, self.policy
+                )
+                mean_iters = float(result.iterations)
+                skip_count = int(
+                    np.count_nonzero(result.column_residuals > self.head.policy.epsilon)
+                )
+            self.snapshots.append(TraceSnapshot(
+                step=step,
+                loss=loss,
+                accuracy=report.accuracy,
+                report=report,
+                solver_mean_iters=mean_iters,
+                solver_skip_count=skip_count,
+            ))
 
 
 def train(
@@ -528,9 +558,17 @@ def train(
     the backbone features are the exact preimage H0 = link^{-1}(Z) at every
     recorded state, and the head weight holds its feasible initialization
     (its gradient in these coordinates is identically zero). Projections run
-    after every update; snapshots are recorded at step 0, every
-    cfg.log_every steps, and at the final step. A non-finite loss aborts
-    with TrainingDivergedError carrying the trace collected so far.
+    after every update; snapshots are taken at step 0, every cfg.log_every
+    steps, and at the final step. A non-finite z or w at a snapshot step
+    raises ValueError at that step. A non-finite loss aborts with
+    TrainingDivergedError carrying the trace collected so far: every
+    snapshot taken before it.
+
+    A snapshot is recorded with the logits and loss the loop computes for
+    its state, and evaluated later. Pending records are evaluated in one
+    stacked pass once their features fill SNAPSHOT_CHUNK_ELEMENTS, at the
+    end of training, and before TrainingDivergedError is raised. The deq
+    head's Picard diagnostic runs per snapshot.
 
     Built once per run and reused by every step and snapshot:
       * the class partition: per-class index arrays, class counts and the
@@ -538,7 +576,7 @@ def train(
       * the projected head (a validated DeqWeights for the equilibrium
         head) and its preimage operator: the explicit head's conditioning
         check, or the deq link I - W;
-      * the NC metric constants (cosine pair indices, normalized ETF
+      * the NC metric constants (cosine pair index, normalized ETF
         target) and the deq head's accept-last Picard policy;
       * the head's slack term, constant because the head weight is.
     Each projection returns its functional's value, which the slack reuses.
@@ -549,19 +587,19 @@ def train(
     h0, head, w = _project_raw(features.h0, weights, head, cls.w, cfg)
     z, _ = _apply_head_raw(head, h0)
     preimage = _preimage_operator(head)
-    snapshot = _snapshotter(head, preimage, partition, cfg)
     head_slack = float(np.linalg.norm(_head_weight(head))) / cfg.e_h - 1.0
     n = z.shape[1]
     cols = np.arange(n)
 
     trace = TrainTrace()
-    trace.snapshots.append(snapshot(0, z, w, h0))
+    snapshots = _SnapshotBuffer(head, preimage, partition, cfg, z.size, trace.snapshots)
     losses = []
     v_w = np.zeros_like(w)
     v_z = np.zeros_like(z)
     slack_max = 0.0
 
     def finalize():
+        snapshots.flush()
         trace.loss_history = np.asarray(losses)
         trace.feasibility_slack_max = slack_max
         if np.all(np.isfinite(z)) and np.all(np.isfinite(w)):
@@ -571,14 +609,20 @@ def train(
         # on a non-finite abort the last valid snapshot already holds the
         # most recent usable state
 
-    for step in range(1, cfg.steps + 1):
+    # iteration `step` takes the loss of the state after `step` updates,
+    # records that state if it is a snapshot step, and applies update step + 1
+    for step in range(cfg.steps + 1):
         logits = w @ z
         per_sample, exp, denom = _softmax_terms(logits, labels, cols)
         loss = float(np.mean(per_sample))
+        if step % cfg.log_every == 0 or step == cfg.steps:
+            snapshots.record(step, z, w, logits, loss, h0 if step == 0 else None)
+        if step == cfg.steps:
+            break
         if not math.isfinite(loss):
             finalize()
             raise TrainingDivergedError(
-                f"loss became non-finite at step {step}", trace=trace
+                f"loss became non-finite at step {step + 1}", trace=trace
             )
         losses.append(loss)
 
@@ -604,9 +648,6 @@ def train(
             head_slack,
             z_value / cfg.feature_budget - 1.0,
         )
-
-        if step % cfg.log_every == 0 or step == cfg.steps:
-            trace.snapshots.append(snapshot(step, z, w))
 
     finalize()
     return trace

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import etf
-from .linalg import DEFAULT_PINV_CUTOFF, as_matrix, pseudo_inverse
+from .linalg import DEFAULT_PINV_CUTOFF, as_matrix, frobenius_norms, pseudo_inverse
 
 # Rows shorter than this count as "numerically zero" for cosine purposes.
 ZERO_ROW_FLOOR = 1e-30
@@ -24,7 +24,11 @@ ZERO_ROW_FLOOR = 1e-30
 
 @dataclass(frozen=True)
 class ClassStatistics:
-    """Class means, global mean, and within/between-class scatter."""
+    """Class means, global mean, and within/between-class scatter.
+
+    Statistics of a (B, D, N) stack of feature sets carry the leading B
+    axis on every field but class_counts.
+    """
 
     class_means: np.ndarray   # D x K
     global_mean: np.ndarray   # D
@@ -96,20 +100,26 @@ class ClassPartition:
         return cls(labels, k, index, counts, 1.0 / (k * counts[labels]))
 
     def class_means(self, h: np.ndarray) -> np.ndarray:
-        """D x K class means, bit-identical to h[:, labels == c].mean(axis=1).
+        """D x K class means of D x N features (B x D x K of a B x D x N
+        stack), bit-identical to h[:, labels == c].mean(axis=1).
 
         Each class is reduced from its own copy of the columns: reducing a
         strided view would change the last bits. np.add.reduce / n_c is the
         arithmetic of .mean without its per-call overhead.
         """
-        means = np.empty((h.shape[0], self.k))
+        means = np.empty(h.shape[:-1] + (self.k,))
         for c, idx in enumerate(self.index):
-            means[:, c] = np.add.reduce(h[:, idx], axis=1) / self.counts[c]
+            means[..., c] = np.add.reduce(h[..., idx], axis=-1) / self.counts[c]
         return means
 
     def class_accuracy(self, correct: np.ndarray) -> np.ndarray:
-        """Per-class fraction of True entries of a per-sample boolean mask."""
-        return np.bincount(self.labels, weights=correct, minlength=self.k) / self.counts
+        """Per-class fraction of True entries of a per-sample boolean mask
+        (K of an N mask, B x K of a B x N stack of masks)."""
+        rows = correct.reshape(-1, correct.shape[-1])
+        bins = self.labels + self.k * np.arange(rows.shape[0])[:, None]
+        # the hit counts are exact whole numbers, so the bins can be summed in any order
+        hits = np.bincount(bins.ravel(), weights=rows.ravel(), minlength=rows.shape[0] * self.k)
+        return hits.reshape(correct.shape[:-1] + (self.k,)) / self.counts
 
 
 def class_means(features_h, labels, k: int) -> np.ndarray:
@@ -117,18 +127,24 @@ def class_means(features_h, labels, k: int) -> np.ndarray:
     return ClassPartition.build(labels, k).class_means(np.asarray(features_h, dtype=np.float64))
 
 
-def _class_statistics(h: np.ndarray, partition: ClassPartition) -> ClassStatistics:
-    n, k = h.shape[1], partition.k
-    means = partition.class_means(h)
-    global_mean = means.mean(axis=1)
+def _transpose(x: np.ndarray) -> np.ndarray:
+    return x.swapaxes(-1, -2)
 
-    centered = h - means[:, partition.labels]
-    sigma_w = (centered @ centered.T) / n
-    dev = means - global_mean[:, None]
-    sigma_b = (dev @ dev.T) / k
+
+def _class_statistics(h: np.ndarray, partition: ClassPartition) -> ClassStatistics:
+    """Statistics of D x N features or of a B x D x N stack of them; every
+    matrix of a stack gets the bits of its own 2-D call."""
+    n, k = h.shape[-1], partition.k
+    means = partition.class_means(h)
+    global_mean = means.mean(axis=-1)
+
+    centered = h - means[..., partition.labels]
+    sigma_w = (centered @ _transpose(centered)) / n
+    dev = means - global_mean[..., None]
+    sigma_b = (dev @ _transpose(dev)) / k
     # symmetrize away the last-ulp asymmetry from the matrix products
-    sigma_w = 0.5 * (sigma_w + sigma_w.T)
-    sigma_b = 0.5 * (sigma_b + sigma_b.T)
+    sigma_w = 0.5 * (sigma_w + _transpose(sigma_w))
+    sigma_b = 0.5 * (sigma_b + _transpose(sigma_b))
     return ClassStatistics(
         class_means=means,
         global_mean=global_mean,
@@ -151,33 +167,39 @@ def class_statistics(features_h, labels, k: Optional[int] = None) -> ClassStatis
     return _class_statistics(h, ClassPartition.build(labels, k))
 
 
+def _nc1(stats: ClassStatistics, cutoff: float) -> np.ndarray:
+    k = stats.class_means.shape[-1]
+    sigma_w_pinv = stats.sigma_w @ pseudo_inverse(stats.sigma_b, cutoff)
+    return np.trace(sigma_w_pinv, axis1=-2, axis2=-1) / k
+
+
 def nc1(stats: ClassStatistics, cutoff: float = DEFAULT_PINV_CUTOFF) -> float:
     """(1/K) tr(Sigma_W Sigma_B^+). Zero exactly when every sample sits on
     its class mean; the pseudo-inverse handles rank-deficient scatter."""
-    k = stats.class_means.shape[1]
-    return float(np.trace(stats.sigma_w @ pseudo_inverse(stats.sigma_b, cutoff)) / k)
+    return float(_nc1(stats, cutoff))
 
 
-def _nc2(means: np.ndarray, etf_target: np.ndarray) -> float:
-    if np.linalg.norm(means) == 0.0:
+def _nc2(means: np.ndarray, means_norm: np.ndarray, etf_target: np.ndarray) -> np.ndarray:
+    # B x D x K class means with their Frobenius norms
+    if np.any(means_norm == 0.0):
         raise ValueError("class means are all zero")
-    # means.T @ means is exactly symmetric (a rank-k update), so the
+    # means^T @ means is exactly symmetric (a rank-k update), so the
     # symmetry check of gram_distance_to_etf has nothing to catch here
-    return etf.normalized_gram_distance(means.T @ means, etf_target)
+    return etf.normalized_gram_distance(_transpose(means) @ means, etf_target)
 
 
 def nc2(class_means) -> float:
     """Distance of the class-mean Gram (unit-normalized) from the ETF Gram."""
-    means = as_matrix(class_means, "class_means")
-    return _nc2(means, etf.normalized_etf_gram(means.shape[1]))
+    means = as_matrix(class_means, "class_means")[None]
+    return float(_nc2(means, frobenius_norms(means), etf.normalized_etf_gram(means.shape[-1]))[0])
 
 
-def _nc3_diff(w: np.ndarray, means: np.ndarray) -> np.ndarray:
-    w_norm = np.linalg.norm(w)
-    m_norm = np.linalg.norm(means)
-    if w_norm == 0.0 or m_norm == 0.0:
+def _nc3_diff(w: np.ndarray, means: np.ndarray, means_norm: np.ndarray) -> np.ndarray:
+    # B x K x D classifiers and B x D x K class means with their norms
+    w_norm = frobenius_norms(w)
+    if np.any(w_norm == 0.0) or np.any(means_norm == 0.0):
         raise ValueError("classifier and class means must both be non-zero")
-    return w / w_norm - means.T / m_norm
+    return w / w_norm[:, None, None] - _transpose(means) / means_norm[:, None, None]
 
 
 def nc3(w, class_means, norm: str = "fro") -> float:
@@ -193,7 +215,7 @@ def nc3(w, class_means, norm: str = "fro") -> float:
         raise ValueError(
             f"classifier {w.shape} and class means {means.shape} are not K x D vs D x K"
         )
-    diff = _nc3_diff(w, means)
+    diff = _nc3_diff(w[None], means[None], frobenius_norms(means[None]))[0]
     if norm == "fro":
         return float(np.linalg.norm(diff))
     if norm == "spectral":
@@ -201,13 +223,27 @@ def nc3(w, class_means, norm: str = "fro") -> float:
     raise ValueError(f"norm must be 'fro' or 'spectral', got {norm!r}")
 
 
-def _mean_pairwise_cosine(rows: np.ndarray, pairs: tuple) -> float:
-    norms = np.linalg.norm(rows, axis=1)
-    if np.any(norms < ZERO_ROW_FLOOR):
-        return float("nan")
-    unit = rows / norms[:, None]
-    gram = unit @ unit.T
-    return float(gram[pairs].mean())
+def _row_norms(w: np.ndarray) -> np.ndarray:
+    # np.linalg.norm(w, axis=-1), stacked
+    return np.sqrt(np.add.reduce(w * w, axis=-1))
+
+
+def _mean_pairwise_cosines(w: np.ndarray, row_norms: np.ndarray, rows: np.ndarray,
+                           pair_index: np.ndarray) -> np.ndarray:
+    """Mean pairwise cosine of the selected rows of each B x K x D
+    classifier, given its row norms; NaN for a classifier with a numerically
+    zero selected row. pair_index holds the flat positions i * R + j of the
+    pairs i < j of the R selected rows."""
+    norms = np.take(row_norms, rows, axis=1)
+    zero = np.any(norms < ZERO_ROW_FLOOR, axis=1)
+    unit = np.take(w, rows, axis=1) / np.where(zero[:, None], 1.0, norms)[..., None]
+    gram = unit @ _transpose(unit)
+    # np.take keeps the pairs C-contiguous, so each mean reduces like the 1-D
+    # gram[pairs].mean() of its classifier alone; fancy indexing would not
+    pairs = np.take(gram.reshape(gram.shape[0], -1), pair_index, axis=1)
+    cosines = np.mean(pairs, axis=1)
+    cosines[zero] = np.nan
+    return cosines
 
 
 def _cosine_rows(classes: Sequence[int]) -> np.ndarray:
@@ -217,6 +253,11 @@ def _cosine_rows(classes: Sequence[int]) -> np.ndarray:
     return rows
 
 
+def _pair_index(r: int) -> np.ndarray:
+    i, j = np.triu_indices(r, k=1)
+    return i * r + j
+
+
 def mean_pairwise_cosine(w, classes: Sequence[int]) -> float:
     """Mean cosine over all pairs of the selected classifier rows.
 
@@ -224,9 +265,9 @@ def mean_pairwise_cosine(w, classes: Sequence[int]) -> float:
     -1/(K-1) when they sit on a K-class ETF. Returns NaN (with the norms
     left to per_class_weight_norm) when a selected row is numerically zero.
     """
-    w = as_matrix(w, "w")
+    w = as_matrix(w, "w")[None]
     rows = _cosine_rows(classes)
-    return _mean_pairwise_cosine(w[rows], np.triu_indices(rows.size, k=1))
+    return float(_mean_pairwise_cosines(w, _row_norms(w), rows, _pair_index(rows.size))[0])
 
 
 def minority_collapse_index(w, minority_classes: Sequence[int]) -> float:
@@ -237,13 +278,13 @@ def minority_collapse_index(w, minority_classes: Sequence[int]) -> float:
 @dataclass(frozen=True)
 class NcReporter:
     """The per-run constants of nc_report, built once and applied to every
-    snapshot: the class partition, the cosine rows and their pair indices,
-    and the normalized ETF target."""
+    snapshot: the class partition, the cosine rows and their flat pair
+    index, and the normalized ETF target."""
 
     partition: ClassPartition
     cutoff: float
     cosine_rows: np.ndarray
-    cosine_pairs: tuple
+    cosine_pairs: np.ndarray
     etf_target: np.ndarray
 
     @classmethod
@@ -255,27 +296,45 @@ class NcReporter:
             partition=partition,
             cutoff=cutoff,
             cosine_rows=rows,
-            cosine_pairs=np.triu_indices(rows.size, k=1),
+            cosine_pairs=_pair_index(rows.size),
             etf_target=etf.normalized_etf_gram(k),
         )
 
-    def report(self, h: np.ndarray, w: np.ndarray, logits: np.ndarray, loss: float) -> NcReport:
-        """The snapshot report for validated K x D classifier w and D x N
-        features h whose labels are the partition's."""
+    def reports(self, h: np.ndarray, w: np.ndarray, logits: np.ndarray, losses) -> list:
+        """The reports of B states at once, from validated B x D x N
+        features h whose labels are the partition's, B x K x D classifiers
+        w, B x K x N logits and B losses.
+
+        Each report has the bits its state gets when evaluated alone, as
+        nc_report does with B = 1.
+        """
         stats = _class_statistics(h, self.partition)
-        correct = np.argmax(logits, axis=0) == self.partition.labels
-        return NcReport(
-            nc1=nc1(stats, self.cutoff),
-            nc2=_nc2(stats.class_means, self.etf_target),
-            nc3=float(np.linalg.norm(_nc3_diff(w, stats.class_means))),
-            loss=float(loss),
-            accuracy=float(np.mean(correct)),
-            per_class_accuracy=tuple(self.partition.class_accuracy(correct).tolist()),
-            per_class_weight_norm=tuple(np.linalg.norm(w, axis=1).tolist()),
-            minority_mean_pairwise_cosine=_mean_pairwise_cosine(
-                w[self.cosine_rows], self.cosine_pairs
-            ),
-        )
+        means = stats.class_means
+        means_norm = frobenius_norms(means)
+        nc1_values = _nc1(stats, self.cutoff).tolist()
+        nc2_values = _nc2(means, means_norm, self.etf_target).tolist()
+        nc3_values = frobenius_norms(_nc3_diff(w, means, means_norm)).tolist()
+        correct = np.argmax(logits, axis=1) == self.partition.labels
+        accuracies = np.mean(correct, axis=1).tolist()
+        class_accuracies = self.partition.class_accuracy(correct).tolist()
+        row_norms = _row_norms(w)
+        cosines = _mean_pairwise_cosines(
+            w, row_norms, self.cosine_rows, self.cosine_pairs
+        ).tolist()
+        weight_norms = row_norms.tolist()
+        return [
+            NcReport(
+                nc1=nc1_values[b],
+                nc2=nc2_values[b],
+                nc3=nc3_values[b],
+                loss=float(losses[b]),
+                accuracy=accuracies[b],
+                per_class_accuracy=tuple(class_accuracies[b]),
+                per_class_weight_norm=tuple(weight_norms[b]),
+                minority_mean_pairwise_cosine=cosines[b],
+            )
+            for b in range(h.shape[0])
+        ]
 
 
 def nc_report(
@@ -294,4 +353,4 @@ def nc_report(
     k = w.shape[0]
     labels = _validate_labels(labels, h.shape[1], k)
     reporter = NcReporter.build(ClassPartition.build(labels, k), cutoff, minority_classes)
-    return reporter.report(h, w, logits, loss)
+    return reporter.reports(h[None], w[None], logits[None], [loss])[0]

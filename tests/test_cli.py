@@ -42,6 +42,15 @@ class TestRunCommand:
         assert main(["run", str(cfg)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("head, d0, d", [("deq", 20, 12), ("both", 20, 12),
+                                             ("explicit", 12, 20)])
+    def test_head_dimension_mismatch_is_a_config_error(self, tmp_path, capsys, head, d0, d):
+        lines = _cfg_lines(head=head, k=5, d0=d0, d=d)
+        out = tmp_path / "out"
+        assert main(["run", str(_write(tmp_path, "dims.cfg", lines)), "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_paper_preset(self, tmp_path):
         cfg = _write(tmp_path, "demo.cfg", _cfg_lines())
         out = tmp_path / "paper"
@@ -104,6 +113,17 @@ class TestSweepCommand:
         assert main(["sweep", str(tmp_path), "--out", str(out), "--quiet", "--workers", "2"]) == 0
         summary = json.loads((out / "sweep_summary.json").read_text())
         assert len(summary) == 2
+
+    def test_failed_config_sets_exit_code_after_summary(self, tmp_path, capsys):
+        _write(tmp_path, "one.cfg", _cfg_lines(seed=1))
+        _write(tmp_path, "two.cfg", _cfg_lines(head="deq", d0=8))
+        out = tmp_path / "runs"
+        assert main(["sweep", str(tmp_path), "--out", str(out), "--quiet", "--workers", "2"]) == 2
+        assert "config error" in capsys.readouterr().err
+        summary = json.loads((out / "sweep_summary.json").read_text())
+        assert summary.pop("two.cfg")["error"] == "ConfigError"
+        assert [record["name"] for record in summary.values()] == ["one"]
+        assert (out / "one/trace.csv").is_file()
 
 
 def test_divergence_exit_code(tmp_path, capsys, monkeypatch):

@@ -9,6 +9,7 @@ from collapsekit.etf import (
     gram_distance_to_etf_raw,
     make_etf,
     normalized_etf_gram,
+    normalized_gram_distance,
 )
 from collapsekit.linalg import make_rng
 
@@ -96,6 +97,25 @@ class TestGramDistance:
     def test_symmetry_check(self):
         with pytest.raises(ValueError, match="symmetric"):
             gram_distance_to_etf(np.array([[1.0, 0.5], [0.0, 1.0]]), 2)
+
+    def test_stack_matches_per_gram_arithmetic_bit_for_bit(self):
+        # every distance of a stack equals the one-gram arithmetic of
+        # np.linalg.norm, and gram_distance_to_etf is the B = 1 case
+        rng = make_rng(13)
+        k = 5
+        target = normalized_etf_gram(k)
+        means = rng.standard_normal((40, 7, k)) * 10.0 ** rng.uniform(-3, 3, (40, 1, 1))
+        grams = means.swapaxes(-1, -2) @ means
+        stacked = normalized_gram_distance(grams, target)
+        for gram, distance in zip(grams, stacked):
+            expected = np.linalg.norm(gram / np.linalg.norm(gram) - target)
+            assert distance.tobytes() == expected.tobytes()
+            assert gram_distance_to_etf(gram, k) == expected
+
+    def test_stack_with_a_zero_gram_raises(self):
+        grams = np.stack([etf_gram(3), np.zeros((3, 3))])
+        with pytest.raises(ValueError, match="zero Frobenius"):
+            normalized_gram_distance(grams, normalized_etf_gram(3))
 
     def test_raw_distance(self):
         assert gram_distance_to_etf_raw(etf_gram(4, 1.5), 4, 1.5) == 0.0

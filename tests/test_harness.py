@@ -296,6 +296,15 @@ class TestRunExperiment:
             reexport_grams(tmp_path)
 
 
+def _without_timing(record: dict) -> dict:
+    # duration_s is wall time; trace_path names the run's output directory
+    record = dict(record, duration_s=None)
+    record["heads"] = {
+        name: dict(head, trace_path=None) for name, head in record["heads"].items()
+    }
+    return record
+
+
 class TestSweep:
     def test_grid_writer(self, tmp_path):
         written = write_imbalance_grid(tmp_path)
@@ -315,6 +324,26 @@ class TestSweep:
         assert len(merged) == 2
         summary = json.loads((tmp_path / "out/sweep_summary.json").read_text())
         assert set(summary) == set(merged)
+
+    def test_failed_config_is_isolated_and_reraised(self, tmp_path):
+        grid, mixed = tmp_path / "grid", tmp_path / "mixed"
+        for config_dir in (grid, mixed):
+            write_imbalance_grid(config_dir, steps=20, seed=4)
+        # sorts first, fails in its worker
+        _write_config(mixed, ["head = deq", "k = 5", "d0 = 20", "d = 12",
+                              "balanced_n = 3"], name="a_bad.cfg")
+        clean = run_sweep(grid, out_root=tmp_path / "grid_out", max_workers=2)
+        with pytest.raises(ConfigError, match="d0 = d"):
+            run_sweep(mixed, out_root=tmp_path / "mixed_out", max_workers=2)
+
+        summary = json.loads((tmp_path / "mixed_out/sweep_summary.json").read_text())
+        failed = summary.pop("a_bad.cfg")
+        assert failed["name"] == "a_bad"
+        assert failed["error"] == "ConfigError"
+        assert "d0 = d" in failed["message"]
+        assert set(summary) == set(clean)
+        for config_hash, record in summary.items():
+            assert _without_timing(record) == _without_timing(clean[config_hash])
 
     def test_sweep_empty_dir(self, tmp_path):
         with pytest.raises(ConfigError, match="no \\*.cfg"):

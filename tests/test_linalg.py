@@ -59,6 +59,16 @@ def _penrose_ok(m, p, tol=1e-9):
     return max(checks) < tol
 
 
+def _reference_pinv(m, rel_cutoff):
+    # the one-matrix arithmetic the stacked kernel must reproduce
+    u, s, vt = np.linalg.svd(m, full_matrices=False)
+    if s[0] == 0.0:
+        return np.zeros((m.shape[1], m.shape[0]))
+    reciprocal = np.divide(1.0, s, out=np.zeros_like(s), where=s > 0)
+    inv = np.where(s >= rel_cutoff * s[0], reciprocal, 0.0)
+    return (vt.T * inv) @ u.T
+
+
 class TestPseudoInverse:
     def test_diagonal(self):
         np.testing.assert_allclose(
@@ -83,6 +93,26 @@ class TestPseudoInverse:
 
     def test_zero_matrix(self):
         np.testing.assert_array_equal(pseudo_inverse(np.zeros((3, 2))), np.zeros((2, 3)))
+
+    def test_stack_matches_per_matrix_calls_bit_for_bit(self):
+        rng = make_rng(21)
+        stack = rng.standard_normal((2, 4, 5, 4)) * 10.0 ** rng.uniform(-3, 3, (2, 4, 1, 1))
+        stack[0, 1] = 0.0
+        stack[1, 2] = rng.standard_normal((5, 2)) @ rng.standard_normal((2, 4))
+        stacked = pseudo_inverse(stack)
+        assert stacked.shape == (2, 4, 4, 5)
+        for index in np.ndindex(2, 4):
+            alone = pseudo_inverse(stack[index])
+            assert stacked[index].tobytes() == alone.tobytes()
+            assert alone.tobytes() == _reference_pinv(stack[index], 1e-10).tobytes()
+        # +0.0 throughout, not a -0.0 from a product with a zero reciprocal
+        assert stacked[0, 1].tobytes() == np.zeros((4, 5)).tobytes()
+
+    def test_rejects_bad_stacks(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            pseudo_inverse(np.full((2, 3, 3), np.inf))
+        with pytest.raises(ValueError, match="at least 2-D"):
+            pseudo_inverse(np.ones(3))
 
     def test_cutoff_bounds(self):
         with pytest.raises(ValueError, match="rel_cutoff"):

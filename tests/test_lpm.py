@@ -32,7 +32,7 @@ from collapsekit.lpm import (
     project_feasible,
     train,
 )
-from collapsekit.metrics import nc_report
+from collapsekit.metrics import NcReporter, nc_report
 
 
 def _small_instance(seed, k=3, n=4, d=6, head_kind="explicit", e_h=1.0, gaussian_head=False):
@@ -352,13 +352,13 @@ class TestTrain:
 
 
 class TestSnapshotParity:
-    """train builds the snapshot constants once per run; each snapshot must
-    equal, bit for bit, the one rebuilt from the public functions."""
+    """train records each snapshot's state and evaluates the records in
+    stacked chunks; every snapshot must equal, bit for bit, the one rebuilt
+    from the public functions on its recorded state."""
 
-    @pytest.mark.parametrize("head_kind", ["explicit", "deq"])
-    @pytest.mark.parametrize("counts", [(5, 5, 5, 5), (9, 4, 2, 1)])
-    def test_snapshots_match_public_functions(self, monkeypatch, head_kind, counts):
-        k, d = len(counts), 6
+    @staticmethod
+    def _instance(head_kind, counts, d=6):
+        k = len(counts)
         rng = make_rng(31)
         # not class-sorted
         labels = rng.permutation(np.repeat(np.arange(k), counts))
@@ -369,42 +369,118 @@ class TestSnapshotParity:
             head = initialize_explicit_head(d, d, e_h, rng)
         else:
             head = initialize_deq_head(d, e_h, rng)
-        minority = (2, 3) if len(set(counts)) > 1 else None
-        cfg = TrainConfig(learning_rate=0.05, steps=40, e_h=e_h, log_every=3,
-                          minority_classes=minority)
+        return features, head, cls, e_h
 
-        states = []
-        make_snapshot = lpm_mod._snapshotter
+    @staticmethod
+    def _recorded_train(monkeypatch, features, head, cls, cfg):
+        """train, plus every recorded (step, z, w, h0) and the size of
+        every stacked evaluation."""
+        states, chunks = [], []
+        record = lpm_mod._SnapshotBuffer.record
+        reports = NcReporter.reports
 
-        def recording_snapshotter(*args):
-            snapshot = make_snapshot(*args)
+        def recording(buffer, step, z, w, logits, loss, h0=None):
+            states.append((step, z.copy(), w.copy(), h0))
+            return record(buffer, step, z, w, logits, loss, h0)
 
-            def record(step, z, w, h0=None):
-                states.append((step, z.copy(), w.copy(), h0))
-                return snapshot(step, z, w, h0)
+        def counting(reporter, h, w, logits, losses):
+            chunks.append(h.shape[0])
+            return reports(reporter, h, w, logits, losses)
 
-            return record
+        monkeypatch.setattr(lpm_mod._SnapshotBuffer, "record", recording)
+        monkeypatch.setattr(NcReporter, "reports", counting)
+        return train(features, head, cls, cfg), states, chunks
 
-        monkeypatch.setattr(lpm_mod, "_snapshotter", recording_snapshotter)
-        trace = train(features, head, cls, cfg)
+    @staticmethod
+    def _public_snapshot(trace, labels, cfg, step, z, w, h0):
+        logits = w @ z
+        loss = cross_entropy(logits, labels)
+        report = nc_report(z, labels, w, logits, loss, cutoff=cfg.metric_cutoff,
+                           minority_classes=cfg.minority_classes)
+        iters, skips = 0.0, 0
+        if isinstance(trace.head, DeqHead):
+            policy = replace(trace.head.policy, on_failure="accept-last")
+            h0 = head_preimage(trace.head, z) if h0 is None else h0
+            result = fixed_point_iterate(trace.head.weights, h0, policy)
+            iters = float(result.iterations)
+            skips = int(np.count_nonzero(result.column_residuals > policy.epsilon))
+        return TraceSnapshot(step, loss, report.accuracy, report, iters, skips)
 
-        assert [s[0] for s in states] == list(range(0, 40, 3)) + [40]
-        for snap, (step, z, w, h0) in zip(trace.snapshots, states, strict=True):
-            logits = w @ z
-            loss = cross_entropy(logits, labels)
-            report = nc_report(z, labels, w, logits, loss, cutoff=cfg.metric_cutoff,
-                               minority_classes=cfg.minority_classes)
-            iters, skips = 0.0, 0
-            if head_kind == "deq":
-                policy = replace(trace.head.policy, on_failure="accept-last")
-                h0 = head_preimage(trace.head, z) if h0 is None else h0
-                result = fixed_point_iterate(trace.head.weights, h0, policy)
-                iters = float(result.iterations)
-                skips = int(np.count_nonzero(result.column_residuals > policy.epsilon))
-            assert snap == TraceSnapshot(step, loss, report.accuracy, report, iters, skips)
+    def _assert_parity(self, trace, states, labels, cfg):
+        for snap, state in zip(trace.snapshots, states, strict=True):
+            assert snap == self._public_snapshot(trace, labels, cfg, *state)
         np.testing.assert_array_equal(
             trace.features.h0, head_preimage(trace.head, states[-1][1])
         )
+
+    @pytest.mark.parametrize("head_kind", ["explicit", "deq"])
+    @pytest.mark.parametrize("counts", [(5, 5, 5, 5), (9, 4, 2, 1)])
+    def test_snapshots_match_public_functions(self, monkeypatch, head_kind, counts):
+        features, head, cls, e_h = self._instance(head_kind, counts)
+        minority = (2, 3) if len(set(counts)) > 1 else None
+        cfg = TrainConfig(learning_rate=0.05, steps=40, e_h=e_h, log_every=3,
+                          minority_classes=minority)
+        trace, states, chunks = self._recorded_train(monkeypatch, features, head, cls, cfg)
+
+        assert [s[0] for s in states] == list(range(0, 40, 3)) + [40]
+        assert chunks == [15]
+        self._assert_parity(trace, states, features.labels, cfg)
+
+    @pytest.mark.parametrize("head_kind", ["explicit", "deq"])
+    @pytest.mark.parametrize(
+        "steps, chunks",
+        [(6, [3]), (9, [4]), (27, [4, 4, 2])],
+        ids=["below-one-chunk", "one-chunk", "chunks-and-remainder"],
+    )
+    def test_chunks_match_public_functions(self, monkeypatch, head_kind, steps, chunks):
+        counts = (9, 4, 2, 1)
+        features, head, cls, e_h = self._instance(head_kind, counts)
+        feature_size = 6 * sum(counts)
+        # room for four states and not five
+        monkeypatch.setattr(lpm_mod, "SNAPSHOT_CHUNK_ELEMENTS", 5 * feature_size - 1)
+        cfg = TrainConfig(learning_rate=0.05, steps=steps, e_h=e_h, log_every=3,
+                          minority_classes=(2, 3))
+        trace, states, seen = self._recorded_train(monkeypatch, features, head, cls, cfg)
+
+        assert [s[0] for s in states] == list(range(0, steps + 1, 3))
+        assert seen == chunks
+        self._assert_parity(trace, states, features.labels, cfg)
+
+    @pytest.mark.parametrize("head_kind", ["explicit", "deq"])
+    def test_divergence_keeps_every_snapshot_taken(self, monkeypatch, head_kind):
+        counts = (9, 4, 2, 1)
+        features, head, cls, e_h = self._instance(head_kind, counts)
+        monkeypatch.setattr(lpm_mod, "SNAPSHOT_CHUNK_ELEMENTS", 4 * 6 * sum(counts))
+        cfg = TrainConfig(learning_rate=0.05, steps=20, e_h=e_h, log_every=2)
+        full, states, _ = self._recorded_train(monkeypatch, features, head, cls, cfg)
+
+        # the state after step 10 gets a non-finite loss, so step 11 diverges:
+        # snapshots 0, 2, ..., 10 were taken, the first four evaluated as one
+        # chunk, the last two pending
+        step, z, w, _ = states[5]
+        assert step == 10
+        poisoned = w @ z
+        softmax_terms = lpm_mod._softmax_terms
+
+        def diverging(logits, labels, cols):
+            per_sample, exp, denom = softmax_terms(logits, labels, cols)
+            if np.array_equal(logits, poisoned):
+                per_sample = np.full_like(per_sample, np.nan)
+            return per_sample, exp, denom
+
+        monkeypatch.setattr(lpm_mod, "_softmax_terms", diverging)
+        with pytest.raises(TrainingDivergedError, match="step 11") as excinfo:
+            train(features, head, cls, cfg)
+        snapshots = excinfo.value.trace.snapshots
+        assert [s.step for s in snapshots] == list(range(0, 11, 2))
+        assert snapshots[:-1] == full.snapshots[:5]
+        # the last one has the non-finite loss of its state, and the rest of
+        # its record as before
+        last = snapshots[-1]
+        assert math.isnan(last.loss) and math.isnan(last.report.loss)
+        expected = full.snapshots[5]
+        assert replace(last, loss=expected.loss, report=replace(
+            last.report, loss=expected.report.loss)) == expected
 
 
 class TestShrinkToBall:
@@ -523,6 +599,36 @@ class TestInitializers:
         ):
             h0 = head_preimage(head, z)
             np.testing.assert_allclose(head_features(head, h0), z, atol=1e-10)
+
+
+class TestPreimageRoundTrip:
+    # the measured worst case over 20000 such draws is 1e-15 relative
+    TOLERANCE = 1e-13
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        head_kind=st.sampled_from(["explicit", "deq"]),
+        d=st.integers(2, 8),
+        extra_dims=st.integers(0, 4),
+        n=st.integers(1, 12),
+        log_scale=st.floats(-3.0, 3.0),
+        budget=st.floats(0.05, 1.9),
+    )
+    def test_head_features_of_preimage_is_z(self, seed, head_kind, d, extra_dims, n,
+                                            log_scale, budget):
+        """head(preimage(z)) = z to TOLERANCE relative, for the explicit head
+        with d0 >= d (solve or pseudo-inverse) and the contracting deq head
+        (d0 = d; its Frobenius norm, half the budget, bounds sigma_max by
+        0.95)."""
+        rng = make_rng(seed)
+        if head_kind == "explicit":
+            head = initialize_explicit_head(d, d + extra_dims, budget, rng)
+        else:
+            head = initialize_deq_head(d, budget, rng)
+        z = rng.standard_normal((d, n)) * 10.0**log_scale
+        back = head_features(head, head_preimage(head, z))
+        assert np.linalg.norm(back - z) <= self.TOLERANCE * np.linalg.norm(z)
 
 
 class TestValidation:

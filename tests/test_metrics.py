@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from collapsekit.etf import make_etf
-from collapsekit.linalg import make_rng
+from collapsekit.etf import make_etf, normalized_etf_gram
+from collapsekit.linalg import make_rng, pseudo_inverse
 from collapsekit.metrics import (
     ClassPartition,
+    NcReport,
+    NcReporter,
     class_statistics,
     mean_pairwise_cosine,
     minority_collapse_index,
@@ -312,3 +315,65 @@ class TestNcReportProperties:
         base = nc2(class_statistics(h, labels, k).class_means)
         scaled = nc2(class_statistics(10.0**log_scale * h, labels, k).class_means)
         assert scaled == pytest.approx(base, rel=1e-12)
+
+
+def _one_state_report(h, labels, w, logits, loss, cutoff, cosine_rows):
+    """The one-state arithmetic each stacked report must reproduce bit for
+    bit: masked class means, 2-D products, np.linalg.norm and a mean over
+    the fancy-indexed cosine pairs."""
+    k, n = w.shape[0], h.shape[1]
+    means = np.column_stack([h[:, labels == c].mean(axis=1) for c in range(k)])
+    global_mean = means.mean(axis=1)
+    centered = h - means[:, labels]
+    sigma_w = (centered @ centered.T) / n
+    dev = means - global_mean[:, None]
+    sigma_b = (dev @ dev.T) / k
+    sigma_w = 0.5 * (sigma_w + sigma_w.T)
+    sigma_b = 0.5 * (sigma_b + sigma_b.T)
+    gram = means.T @ means
+    correct = np.argmax(logits, axis=0) == labels
+    rows = w[list(cosine_rows)]
+    norms = np.linalg.norm(rows, axis=1)
+    if np.any(norms < 1e-30):
+        cosine = float("nan")
+    else:
+        unit = rows / norms[:, None]
+        cosine = float((unit @ unit.T)[np.triu_indices(len(rows), k=1)].mean())
+    return NcReport(
+        nc1=float(np.trace(sigma_w @ pseudo_inverse(sigma_b, cutoff)) / k),
+        nc2=float(np.linalg.norm(gram / np.linalg.norm(gram) - normalized_etf_gram(k))),
+        nc3=float(np.linalg.norm(w / np.linalg.norm(w) - means.T / np.linalg.norm(means))),
+        loss=float(loss),
+        accuracy=float(np.mean(correct)),
+        per_class_accuracy=tuple(float(np.mean(correct[labels == c])) for c in range(k)),
+        per_class_weight_norm=tuple(np.linalg.norm(w, axis=1).tolist()),
+        minority_mean_pairwise_cosine=cosine,
+    )
+
+
+class TestStackedReports:
+    @pytest.mark.parametrize("minority", [None, (1, 3, 4)])
+    def test_each_report_matches_one_state_arithmetic(self, minority):
+        rng = make_rng(44)
+        k, d, b = 5, 7, 9
+        labels = rng.permutation(np.repeat(np.arange(k), [12, 1, 5, 3, 30]))
+        frame = make_etf(k, d, 1.0, rng)
+        scale = 10.0 ** rng.uniform(-3, 3, (b, 1, 1))
+        noise = 10.0 ** rng.uniform(-4, 0, (b, 1, 1))
+        h = scale * (frame.s[:, labels] + noise * rng.standard_normal((b, d, labels.size)))
+        w = frame.s.T + noise * rng.standard_normal((b, k, d))
+        w[4, 3] = 0.0  # a numerically zero minority row: NaN cosine
+        logits = w @ h
+        losses = rng.random(b).tolist()
+        reporter = NcReporter.build(ClassPartition.build(labels, k), 1e-10, minority)
+        reports = reporter.reports(h, w, logits, losses)
+
+        rows = minority if minority is not None else range(k)
+        for i, report in enumerate(reports):
+            expected = _one_state_report(h[i], labels, w[i], logits[i], losses[i], 1e-10, rows)
+            if i == 4:
+                assert math.isnan(report.minority_mean_pairwise_cosine)
+                assert math.isnan(expected.minority_mean_pairwise_cosine)
+                report = dataclasses.replace(report, minority_mean_pairwise_cosine=0.0)
+                expected = dataclasses.replace(expected, minority_mean_pairwise_cosine=0.0)
+            assert report == expected
