@@ -124,16 +124,17 @@ def fixed_point_iterate(weights: DeqWeights, h0, policy: SolverPolicy) -> FixedP
         raise ValueError(f"h0 has {h0.shape[0]} rows, head expects {weights.dim}")
     z = h0.copy()
     residual = np.inf
-    column_residuals = np.full(h0.shape[1], np.inf)
+    delta = np.full_like(h0, np.inf)
     iterations = 0
     for iterations in range(1, policy.t_max + 1):
         z_next = weights.w @ z + h0
         delta = z_next - z
         residual = float(np.linalg.norm(delta))
-        column_residuals = np.linalg.norm(delta, axis=0)
         z = z_next
         if residual <= policy.epsilon:
             break
+    # the last update's column norms; all inf when no iteration ran
+    column_residuals = np.linalg.norm(delta, axis=0)
     converged = residual <= policy.epsilon
     if not converged and policy.on_failure == "error":
         raise SolverConvergenceError(

@@ -15,7 +15,12 @@ class-sorted) is written only on request, by `collapsekit export-gram`
 
 With head = both, each head's artifacts land in an explicit/ or deq/
 subdirectory of the run directory and report.json at the top level carries
-the cross-head comparison.
+the cross-head comparison. On two or more usable CPUs the two heads train
+concurrently, the deq head in a forked worker; inside a sweep worker they
+train one after the other. The outputs are the same either way at a fixed
+BLAS thread count. When one head fails, the run raises the first failure in
+head order (explicit, then deq) and writes no report.json; the other head's
+artifacts may already exist.
 
 Trace CSV schema (fixed column order, header mandatory):
     step,loss,accuracy,nc1,nc2,nc3,per_class_acc_0..K-1,solver_mean_iters,solver_skip_count
@@ -29,8 +34,10 @@ from __future__ import annotations
 import concurrent.futures
 import csv
 import dataclasses
+import functools
 import hashlib
 import json
+import os
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -518,13 +525,69 @@ def compare_heads(cfg: ExperimentConfig, features_init: FeatureSet, traces: dict
 # running experiments
 # ---------------------------------------------------------------------------
 
+def _train_head(cfg: ExperimentConfig, features: FeatureSet, h0_sha: str,
+                cls_init, head_inits: dict, out: Path, head_name: str) -> tuple:
+    """Train one head from the shared initialization and write its
+    artifacts (trace.csv, gram_class_means.csv, state_<head>.npz).
+
+    Returns (trace, summary). Module-level so that a head worker resolves it
+    by reference.
+    """
+    run_dir = out / head_name if cfg.head == "both" else out
+    run_dir.mkdir(parents=True, exist_ok=True)
+    consumed_sha = hashlib.sha256(np.ascontiguousarray(features.h0).tobytes()).hexdigest()
+    if consumed_sha != h0_sha:
+        raise AssertionError("shared H0 initialization was mutated between heads")
+    trace = lpm.train(features, head_inits[head_name], cls_init, cfg.train)
+
+    trace_path = run_dir / "trace.csv"
+    write_trace_csv(trace, cfg.k, trace_path)
+    h_final = lpm.head_features(trace.head, trace.features.h0)
+    export_class_mean_gram(h_final, trace.features.labels, run_dir)
+    np.savez(
+        run_dir / f"state_{head_name}.npz",
+        h=h_final,
+        h0=trace.features.h0,
+        labels=trace.features.labels,
+        w=trace.classifier.w,
+        head_w=trace.head.w_ex if head_name == "explicit" else trace.head.weights.w,
+    )
+    return trace, _head_summary(head_name, trace, trace_path, consumed_sha)
+
+
+def _map_heads(train_head, head_names: tuple):
+    """Yield train_head(name) for each name in head_names, in order.
+
+    With several heads, more than one usable CPU, and a caller that is not
+    itself a pool worker (a sweep worker's siblings already fill the CPUs),
+    every head after the first trains in a forked one-worker pool while the
+    first trains here. Otherwise this is plain map. Either way a failure is
+    raised in head order: the first head's before any worker's, once the
+    worker is done.
+    """
+    import multiprocessing
+
+    if (len(head_names) > 1 and len(os.sched_getaffinity(0)) > 1
+            and multiprocessing.parent_process() is None):
+        context = multiprocessing.get_context("fork")
+        with concurrent.futures.ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
+            rest = [pool.submit(train_head, name) for name in head_names[1:]]
+            yield train_head(head_names[0])
+            for future in rest:
+                yield future.result()
+    else:
+        yield from map(train_head, head_names)
+
+
 def run_experiment(cfg: ExperimentConfig, out_dir=None, quiet: bool = True) -> RunRecord:
     """Train the configured head(s) on one synthesized dataset.
 
     Both heads consume the same backbone-feature initialization (the record
     carries its hash per head, asserted identical) and the same classifier
     initialization. Artifacts are written under out_dir (defaults to the
-    config's output_dir).
+    config's output_dir). With head = both the heads train concurrently
+    where _map_heads allows it, and in order otherwise; the outputs are the
+    same either way.
     """
     t0 = time.perf_counter()
     out = Path(out_dir) if out_dir is not None else Path(cfg.output_dir)
@@ -542,31 +605,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, quiet: bool = True) -> R
     }
 
     head_names = ("explicit", "deq") if cfg.head == "both" else (cfg.head,)
+    train_head = functools.partial(
+        _train_head, cfg, features, h0_sha, cls_init, head_inits, out
+    )
     traces, summaries = {}, {}
-    for head_name in head_names:
-        run_dir = out / head_name if cfg.head == "both" else out
-        run_dir.mkdir(parents=True, exist_ok=True)
-        consumed_sha = hashlib.sha256(
-            np.ascontiguousarray(features.h0).tobytes()
-        ).hexdigest()
-        if consumed_sha != h0_sha:
-            raise AssertionError("shared H0 initialization was mutated between heads")
-        trace = lpm.train(features, head_inits[head_name], cls_init, cfg.train)
-        traces[head_name] = trace
-
-        trace_path = run_dir / "trace.csv"
-        write_trace_csv(trace, cfg.k, trace_path)
-        h_final = lpm.head_features(trace.head, trace.features.h0)
-        export_class_mean_gram(h_final, trace.features.labels, run_dir)
-        np.savez(
-            run_dir / f"state_{head_name}.npz",
-            h=h_final,
-            h0=trace.features.h0,
-            labels=trace.features.labels,
-            w=trace.classifier.w,
-            head_w=trace.head.w_ex if head_name == "explicit" else trace.head.weights.w,
-        )
-        summaries[head_name] = _head_summary(head_name, trace, trace_path, consumed_sha)
+    for head_name, (trace, summary) in zip(head_names, _map_heads(train_head, head_names)):
+        traces[head_name], summaries[head_name] = trace, summary
         if not quiet:
             final = trace.final
             print(
@@ -625,6 +669,10 @@ def run_sweep(config_dir, preset: str = "desk", out_root=None, seed=None,
               max_workers: Optional[int] = None) -> dict:
     """Run every *.cfg under config_dir concurrently, one worker per config.
 
+    The pool forks its workers whatever the platform's default start method
+    (spawn or forkserver on some), so they inherit this process's state
+    rather than re-importing it.
+
     Runs are fully isolated: a config that raises does not stop the others.
     The aggregator merges RunRecords keyed by config hash into
     sweep_summary.json alongside the configs (or under out_root when given),
@@ -637,9 +685,12 @@ def run_sweep(config_dir, preset: str = "desk", out_root=None, seed=None,
     paths = sorted(str(p) for p in config_dir.glob("*.cfg"))
     if not paths:
         raise ConfigError(f"no *.cfg files in {config_dir}")
+    import multiprocessing
+
     jobs = [(p, preset, str(out_root) if out_root else None, seed) for p in paths]
     merged, failures = {}, []
-    with concurrent.futures.ProcessPoolExecutor(max_workers=max_workers) as pool:
+    context = multiprocessing.get_context("fork")
+    with concurrent.futures.ProcessPoolExecutor(max_workers=max_workers, mp_context=context) as pool:
         futures = [pool.submit(_sweep_worker, job) for job in jobs]
         for path, future in zip(paths, futures):
             try:

@@ -129,6 +129,21 @@ class TestIterate:
         assert result.column_residuals.shape == (3,)
         assert np.all(result.column_residuals > 0)
 
+    @pytest.mark.parametrize("t_max", [1, 3, 200])
+    def test_column_residuals_are_the_last_update_norms(self, t_max):
+        rng = make_rng(5)
+        w = _random_contraction(rng, 4, 0.8)
+        h0 = rng.standard_normal((4, 6))
+        policy = SolverPolicy(epsilon=1e-6, t_max=t_max)
+        result = fixed_point_iterate(w, h0, policy)
+        z = h0.copy()
+        for _ in range(result.iterations):
+            z_next = w.w @ z + h0
+            delta, z = z_next - z, z_next
+        assert result.converged == (t_max == 200)
+        assert result.column_residuals.tobytes() == np.linalg.norm(delta, axis=0).tobytes()
+        assert result.z_star.tobytes() == z.tobytes()
+
     def test_oracle_equivalence(self):
         rng = make_rng(7)
         policy = SolverPolicy(epsilon=1e-12, t_max=10_000, on_failure="error")

@@ -1,10 +1,15 @@
+import concurrent.futures
 import csv
+import itertools
 import json
+import os
 
 import numpy as np
 import pytest
 
-from collapsekit.errors import ConfigError
+from collapsekit import lpm
+from collapsekit.cli import main
+from collapsekit.errors import ConfigError, SolverConvergenceError, TrainingDivergedError
 from collapsekit.harness import (
     config_from_dict,
     export_gram,
@@ -348,6 +353,164 @@ class TestSweep:
     def test_sweep_empty_dir(self, tmp_path):
         with pytest.raises(ConfigError, match="no \\*.cfg"):
             run_sweep(tmp_path)
+
+
+BOTH_BALANCED = {
+    "head": "both", "k": 4, "d0": 6, "d": 6, "balanced_n": 6,
+    "steps": 60, "log_every": 7, "seed": 2,
+}
+BOTH_IMBALANCED = {
+    "head": "both", "k": 4, "d0": 6, "d": 6, "k_a": 2, "k_b": 2, "n_a": 10, "r": 5,
+    "steps": 60, "log_every": 7, "e_h": 0.5, "feature_budget": 0.5, "seed": 3,
+}
+
+
+def _set_cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _log_pools(monkeypatch, log_path):
+    """Make every process pool, in this process or a forked one, append
+    "<pid> <start method>" to log_path when it is created."""
+
+    class LoggedPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, mp_context=None, **kwargs):
+            method = mp_context.get_start_method() if mp_context else None
+            with open(log_path, "a") as fh:
+                fh.write(f"{os.getpid()} {method}\n")
+            super().__init__(*args, mp_context=mp_context, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", LoggedPool)
+
+
+def _pool_log(log_path) -> list:
+    return log_path.read_text().splitlines() if log_path.exists() else []
+
+
+def _diverge_deq_head(monkeypatch, at_step):
+    """Give the deq head's training a non-finite loss at step at_step."""
+    train = lpm.train
+
+    def patched(features, head, cls, cfg):
+        if isinstance(head, ExplicitHead):
+            return train(features, head, cls, cfg)
+        steps = itertools.count()
+        softmax_terms = lpm._softmax_terms
+
+        def diverging(logits, labels, cols):
+            per_sample, exp, denom = softmax_terms(logits, labels, cols)
+            if next(steps) == at_step:
+                per_sample = np.full_like(per_sample, np.nan)
+            return per_sample, exp, denom
+
+        lpm._softmax_terms = diverging
+        try:
+            return train(features, head, cls, cfg)
+        finally:
+            lpm._softmax_terms = softmax_terms
+
+    monkeypatch.setattr(lpm, "train", patched)
+
+
+class TestParallelHeads:
+    """head = both trains the deq head in a forked worker on two or more
+    CPUs, and both heads in order on one."""
+
+    @pytest.mark.parametrize("params", [BOTH_BALANCED, BOTH_IMBALANCED],
+                             ids=["balanced", "imbalanced"])
+    def test_matches_sequential_byte_for_byte(self, tmp_path, monkeypatch, capsys, params):
+        cfg = config_from_dict(dict(params), name="pair")
+        log = tmp_path / "pools.log"
+        _log_pools(monkeypatch, log)
+        dirs, stdout = {}, {}
+        for cpus in (2, 1):
+            _set_cpus(monkeypatch, cpus)
+            dirs[cpus] = tmp_path / f"cpus{cpus}"
+            run_experiment(cfg, out_dir=dirs[cpus], quiet=False)
+            stdout[cpus] = capsys.readouterr().out.splitlines()
+        # only the two-CPU run started a pool, a forking one
+        assert _pool_log(log) == [f"{os.getpid()} fork"]
+
+        files = sorted(p.relative_to(dirs[1]) for p in dirs[1].rglob("*") if p.is_file())
+        assert files == sorted(p.relative_to(dirs[2]) for p in dirs[2].rglob("*") if p.is_file())
+        assert len(files) == 7
+        for rel in files:
+            parallel, sequential = dirs[2] / rel, dirs[1] / rel
+            if rel.suffix == ".npz":
+                # the zip members carry write times; compare the arrays
+                with np.load(parallel) as a, np.load(sequential) as b:
+                    assert sorted(a) == sorted(b)
+                    for key in a:
+                        assert a[key].tobytes() == b[key].tobytes()
+            elif rel.name == "report.json":
+                assert _without_timing(json.loads(parallel.read_text())) == (
+                    _without_timing(json.loads(sequential.read_text()))
+                )
+            else:
+                assert parallel.read_bytes() == sequential.read_bytes()
+        if "k_a" in params:
+            report = json.loads((dirs[2] / "report.json").read_text())
+            assert report["condition_report"]["nc2_distance_deq"] > 0
+
+        assert stdout[2] == stdout[1]
+        assert [line.split()[0] for line in stdout[2]] == ["[pair/explicit]", "[pair/deq]"]
+
+    def test_worker_divergence_is_reraised_with_its_trace(self, tmp_path, monkeypatch):
+        _diverge_deq_head(monkeypatch, at_step=9)
+        cfg = config_from_dict(dict(BOTH_BALANCED), name="pair")
+        errors = {}
+        for cpus in (2, 1):
+            _set_cpus(monkeypatch, cpus)
+            with pytest.raises(TrainingDivergedError, match="step 10") as excinfo:
+                run_experiment(cfg, out_dir=tmp_path / f"cpus{cpus}")
+            errors[cpus] = excinfo.value
+        # raised in the worker and unpickled in this process
+        assert type(errors[2].__cause__).__name__ == "_RemoteTraceback"
+        assert errors[1].__cause__ is None
+
+        parallel, sequential = errors[2].trace, errors[1].trace
+        assert [snap.step for snap in parallel.snapshots] == [0, 7]
+        assert parallel.snapshots == sequential.snapshots
+        assert parallel.loss_history.tobytes() == sequential.loss_history.tobytes()
+        assert parallel.features.h0.tobytes() == sequential.features.h0.tobytes()
+        # the explicit head finished; the run wrote no report
+        assert (tmp_path / "cpus2/explicit/state_explicit.npz").is_file()
+        assert not (tmp_path / "cpus2/report.json").exists()
+
+        _set_cpus(monkeypatch, 2)
+        path = _write_config(tmp_path, [f"{k} = {v}" for k, v in BOTH_BALANCED.items()])
+        assert main(["run", str(path), "--out", str(tmp_path / "cli"), "--quiet"]) == 3
+
+    def test_first_head_failure_is_raised_first(self, tmp_path, monkeypatch):
+        def failing(features, head, cls, cfg):
+            if isinstance(head, ExplicitHead):
+                raise TrainingDivergedError("explicit head diverged")
+            raise SolverConvergenceError("deq head did not converge")
+
+        monkeypatch.setattr(lpm, "train", failing)
+        log = tmp_path / "pools.log"
+        _log_pools(monkeypatch, log)
+        _set_cpus(monkeypatch, 2)
+        cfg = config_from_dict(dict(BOTH_BALANCED))
+        with pytest.raises(TrainingDivergedError, match="explicit"):
+            run_experiment(cfg, out_dir=tmp_path / "run")
+        assert _pool_log(log) == [f"{os.getpid()} fork"]
+        path = _write_config(tmp_path, [f"{k} = {v}" for k, v in BOTH_BALANCED.items()])
+        assert main(["run", str(path), "--out", str(tmp_path / "cli"), "--quiet"]) == 3
+
+    def test_sweep_workers_start_no_pool(self, tmp_path, monkeypatch):
+        for seed in (1, 2):
+            _write_config(tmp_path, [f"{k} = {v}" for k, v in BOTH_BALANCED.items()
+                                     if k != "seed"] + [f"seed = {seed}"],
+                          name=f"s{seed}.cfg")
+        log = tmp_path / "pools.log"
+        _log_pools(monkeypatch, log)
+        _set_cpus(monkeypatch, 2)
+        merged = run_sweep(tmp_path, out_root=tmp_path / "out", max_workers=2)
+        assert len(merged) == 2
+        # the sweep's own pool forks; its workers train both heads in order
+        assert _pool_log(log) == [f"{os.getpid()} fork"]
+        assert (tmp_path / "out/s2/deq/trace.csv").is_file()
 
 
 def test_write_trace_csv_validates(tmp_path):
