@@ -27,7 +27,10 @@ state with the bits it would get alone.
 Two determinism details are deliberate:
   * reductions over the class axis run in a canonical row order, so
     relabeling classes (with the matching row permutation of W) reproduces
-    a training run bit for bit;
+    a training run bit for bit. The softmax denominator sums each column's
+    values in ascending order; train() keeps each column's order from the
+    previous step and re-sorts only the columns whose order changed
+    (ClassSum), which gives the bits of a fresh sort;
   * ball projections iterate the shrink factor to a floating-point fixed
     point, so projecting twice is exactly projecting once whenever the
     projection clears its budget (a rescale that stalls one ulp above the
@@ -227,14 +230,43 @@ def _class_order(w: np.ndarray) -> np.ndarray:
 
 
 def _sum_classes(x: np.ndarray) -> np.ndarray:
-    # Order-canonical sum over axis 0 (ascending values).
-    return np.sum(np.sort(x, axis=0), axis=0)
+    # Order-canonical sum over axis 0: each column's values in ascending
+    # order, added row by row. ClassSum reuses the order across calls.
+    return np.add.reduce(np.sort(x, axis=0), axis=0)
+
+
+class ClassSum:
+    """_sum_classes for a sequence of K x N arrays whose column orders
+    change little from call to call (the softmax terms of successive
+    training steps), bit for bit.
+
+    Each column's ascending order from the previous call is applied with
+    one flat take. Columns no longer ascending, which includes every column
+    holding a NaN, are re-sorted: their values by np.sort, as _sum_classes
+    would, and their order by argsort. Ties between equal values can land
+    in either order; their bits are equal, or they are zeros of both signs,
+    whose ascending sum does not depend on their order.
+    """
+
+    def __init__(self, k: int, n: int):
+        self.n = n
+        # index[r, j] = j + N * (row of column j's r-th smallest entry)
+        self.index = np.arange(k * n).reshape(k, n)
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        srt = x.take(self.index)
+        moved = np.flatnonzero(~np.logical_and.reduce(srt[1:] >= srt[:-1], axis=0))
+        if moved.size:
+            cols = x[:, moved]
+            srt[:, moved] = np.sort(cols, axis=0)
+            self.index[:, moved] = np.argsort(cols, axis=0) * self.n + moved
+        return np.add.reduce(srt, axis=0)
 
 
 def classifier_mean_square(w: np.ndarray) -> float:
     """(1/K) sum_k ||w_k||^2 with an order-canonical class reduction."""
     row_sq = np.einsum("kd,kd->k", w, w)
-    return float(np.sum(np.sort(row_sq)) / w.shape[0])
+    return float(np.add.reduce(np.sort(row_sq)) / w.shape[0])
 
 
 def _feature_norm(h: np.ndarray, weights: np.ndarray) -> float:
@@ -248,16 +280,22 @@ def feature_norm_functional(h: np.ndarray, labels: np.ndarray, k: int) -> float:
     return _feature_norm(h, ClassPartition.build(labels, k).weights)
 
 
-def _softmax_terms(logits: np.ndarray, labels: np.ndarray, cols: np.ndarray):
+def _true_class_index(labels: np.ndarray, n: int) -> np.ndarray:
+    # flat index of each column's true-class entry in a K x N array
+    return labels * n + np.arange(n)
+
+
+def _softmax_terms(logits: np.ndarray, picks: np.ndarray, class_sum=_sum_classes):
     """Per-sample cross-entropy, exp(max-shifted logits) and its class sums.
 
     The one softmax kernel behind cross_entropy, the training step and
-    loss_and_grads; cols is np.arange(N).
+    loss_and_grads; picks is _true_class_index(labels, N), and class_sum is
+    _sum_classes or the training run's ClassSum.
     """
     shifted = logits - logits.max(axis=0, keepdims=True)
     exp = np.exp(shifted)
-    denom = _sum_classes(exp)
-    return np.log(denom) - shifted[labels, cols], exp, denom
+    denom = class_sum(exp)
+    return np.log(denom) - shifted.take(picks), exp, denom
 
 
 # ---------------------------------------------------------------------------
@@ -293,19 +331,19 @@ def _loss_grads_raw(h0, labels, head, w):
     logits = w @ h
 
     n = logits.shape[1]
-    cols = np.arange(n)
-    per_sample, exp, z = _softmax_terms(logits, labels, cols)
+    picks = _true_class_index(labels, n)
+    per_sample, exp, z = _softmax_terms(logits, picks)
     if keep is None:
         n_kept = n
-        loss = float(np.mean(per_sample))
+        loss = float(np.add.reduce(per_sample) / n)
     else:
         n_kept = int(np.count_nonzero(keep))
         if n_kept == 0:
             raise TrainingDivergedError("solver policy skipped every sample")
-        loss = float(np.sum(per_sample[keep]) / n_kept)
+        loss = float(np.add.reduce(per_sample[keep]) / n_kept)
 
     g = exp / z
-    g[labels, cols] -= 1.0
+    g.reshape(-1)[picks] -= 1.0
     g /= n_kept
     if keep is not None:
         g[:, ~keep] = 0.0
@@ -433,8 +471,8 @@ def cross_entropy(logits, labels) -> float:
     """Mean negative log-softmax of the true-class logit, max-shift stabilized."""
     logits = as_matrix(logits, "logits")
     labels = np.asarray(labels, dtype=np.int64)
-    per_sample, _, _ = _softmax_terms(logits, labels, np.arange(logits.shape[1]))
-    return float(np.mean(per_sample))
+    per_sample, _, _ = _softmax_terms(logits, _true_class_index(labels, logits.shape[1]))
+    return float(np.add.reduce(per_sample) / logits.shape[1])
 
 
 def accuracy(logits, labels) -> float:
@@ -578,7 +616,10 @@ def train(
         check, or the deq link I - W;
       * the NC metric constants (cosine pair index, normalized ETF
         target) and the deq head's accept-last Picard policy;
-      * the head's slack term, constant because the head weight is.
+      * the head's slack term, constant because the head weight is;
+      * the true-class flat index, the ClassSum that keeps each column's
+        class order from step to step, and the buffers the momentum and
+        position updates write in place.
     Each projection returns its functional's value, which the slack reuses.
     """
     labels, k = features.labels, features.k
@@ -589,13 +630,20 @@ def train(
     preimage = _preimage_operator(head)
     head_slack = float(np.linalg.norm(_head_weight(head))) / cfg.e_h - 1.0
     n = z.shape[1]
-    cols = np.arange(n)
+    picks = _true_class_index(labels, n)
+    class_sum = ClassSum(k, n)
+
+    def feature_norm(b):
+        return _feature_norm(b, weights)
 
     trace = TrainTrace()
     snapshots = _SnapshotBuffer(head, preimage, partition, cfg, z.size, trace.snapshots)
     losses = []
-    v_w = np.zeros_like(w)
-    v_z = np.zeros_like(z)
+    # the updates run in place, so the loop owns its w and z (_project_raw
+    # can return cls.w itself) and records copies of them
+    w, z = np.copy(w), np.copy(z)
+    v_w, v_z = np.zeros_like(w), np.zeros_like(z)
+    step_w, step_z = np.empty_like(w), np.empty_like(z)
     slack_max = 0.0
 
     def finalize():
@@ -613,10 +661,11 @@ def train(
     # records that state if it is a snapshot step, and applies update step + 1
     for step in range(cfg.steps + 1):
         logits = w @ z
-        per_sample, exp, denom = _softmax_terms(logits, labels, cols)
-        loss = float(np.mean(per_sample))
+        per_sample, exp, denom = _softmax_terms(logits, picks, class_sum)
+        loss = float(np.add.reduce(per_sample) / n)
         if step % cfg.log_every == 0 or step == cfg.steps:
-            snapshots.record(step, z, w, logits, loss, h0 if step == 0 else None)
+            snapshots.record(step, np.copy(z), np.copy(w), logits, loss,
+                             h0 if step == 0 else None)
         if step == cfg.steps:
             break
         if not math.isfinite(loss):
@@ -626,22 +675,23 @@ def train(
             )
         losses.append(loss)
 
-        g = exp / denom
-        g[labels, cols] -= 1.0
+        g = np.divide(exp, denom, out=exp)
+        g.reshape(-1)[picks] -= 1.0
         g /= n
         gw = g @ z.T
         order = _class_order(w)
         gz = w[order].T @ g[order]
 
-        v_w = cfg.momentum * v_w + gw
-        v_z = cfg.momentum * v_z + gz
-        w = w - cfg.learning_rate * v_w
-        z = z - cfg.learning_rate * v_z
+        # v = momentum * v + grad; x = x - learning_rate * v
+        np.multiply(v_w, cfg.momentum, out=v_w)
+        v_w += gw
+        np.multiply(v_z, cfg.momentum, out=v_z)
+        v_z += gz
+        w -= np.multiply(v_w, cfg.learning_rate, out=step_w)
+        z -= np.multiply(v_z, cfg.learning_rate, out=step_z)
 
         w, w_value = _shrink_to_ball(w, classifier_mean_square, cfg.e_w, squared=True)
-        z, z_value = _shrink_to_ball(
-            z, lambda b: _feature_norm(b, weights), cfg.feature_budget, squared=True
-        )
+        z, z_value = _shrink_to_ball(z, feature_norm, cfg.feature_budget, squared=True)
         slack_max = max(
             slack_max,
             w_value / cfg.e_w - 1.0,

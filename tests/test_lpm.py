@@ -75,6 +75,58 @@ class TestCrossEntropy:
         assert cross_entropy(logits, [0]) == 0.0
 
 
+# values the class sum sees: exp underflow to 0.0 and subnormals, the max
+# column entry 1.0, repeated values for ties, zeros, inf and NaN of both signs
+CLASS_SUM_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 0.25, 1.0, 1.0, 3.0, math.inf,
+                     -math.inf, math.nan, -math.nan]),
+    st.floats(min_value=0.0, max_value=1e300),
+)
+
+
+def _sort_sum(x):
+    return np.sum(np.sort(x, axis=0), axis=0)
+
+
+class TestClassSum:
+    """ClassSum reuses each column's order across calls and must give the
+    bits of a fresh sort-and-sum on every call."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data(), k=st.integers(2, 7), n=st.integers(1, 12),
+           calls=st.integers(1, 6), through_exp=st.booleans())
+    def test_matches_sort_sum_byte_for_byte(self, data, k, n, calls, through_exp):
+        values = st.lists(CLASS_SUM_VALUES, min_size=k * n, max_size=k * n)
+        x = np.array(data.draw(values)).reshape(k, n)
+        class_sum = lpm_mod.ClassSum(k, n)
+        with np.errstate(all="ignore"):
+            for _ in range(calls):
+                # softmax terms: exp(max-shifted logits), which underflow to
+                # 0.0 and turn an inf logit into NaN
+                terms = np.exp(x - np.max(x, axis=0)) if through_exp else x
+                assert class_sum(terms).tobytes() == _sort_sum(terms).tobytes()
+                # next call: permute or overwrite some columns, keep the rest
+                x = x.copy()
+                for col in data.draw(st.lists(st.integers(0, n - 1), max_size=n)):
+                    if data.draw(st.booleans()):
+                        x[:, col] = x[data.draw(st.permutations(range(k))), col]
+                    else:
+                        x[data.draw(st.integers(0, k - 1)), col] = data.draw(CLASS_SUM_VALUES)
+
+    def test_reuses_order_and_resorts_moved_columns(self):
+        rng = make_rng(5)
+        x = rng.random((6, 50))
+        class_sum = lpm_mod.ClassSum(6, 50)
+        class_sum(x)
+        order = class_sum.index.copy()
+        y = x.copy()
+        y[:, 7] = y[::-1, 7]
+        y[2, 9] = np.nan
+        assert class_sum(y).tobytes() == _sort_sum(y).tobytes()
+        changed = np.flatnonzero(np.any(class_sum.index != order, axis=0))
+        assert set(changed) <= {7, 9} and 7 in changed
+
+
 class TestAccuracy:
     def test_one_hot(self):
         labels = np.array([2, 0, 1])
@@ -318,6 +370,59 @@ class TestTrain:
         permuted = train(features_p, head, cls_p, cfg)
         np.testing.assert_array_equal(base.loss_history, permuted.loss_history)
 
+    def test_label_permutation_with_reordering_columns(self, monkeypatch):
+        # shuffled labels at N = 520: the cached class order must follow
+        # columns whose order changes during training
+        k, d = 5, 8
+        rng = make_rng(23)
+        labels = rng.permutation(np.repeat(np.arange(k), (200, 200, 80, 30, 10)))
+        features = initialize_features(labels, k, d, 1.0, rng)
+        cls = initialize_classifier(k, d, 1.0, rng)
+        head = initialize_explicit_head(d, d, 1.0, rng)
+        cfg = TrainConfig(learning_rate=0.05, steps=300, log_every=100)
+        moved = []
+
+        class CountingClassSum(lpm_mod.ClassSum):
+            def __call__(self, x):
+                before = self.index.copy()
+                out = super().__call__(x)
+                moved.append(int(np.count_nonzero(np.any(self.index != before, axis=0))))
+                return out
+
+        monkeypatch.setattr(lpm_mod, "ClassSum", CountingClassSum)
+        base = train(features, head, cls, cfg)
+        # the first call sorts every column; later ones re-sort a few
+        assert 0 < sum(moved[1:]) < len(labels) * (len(moved) - 1) // 10
+
+        perm = np.array([3, 0, 4, 1, 2])
+        features_p = FeatureSet(h0=features.h0, labels=perm[labels], k=k)
+        cls_p = ClassifierWeights(w=cls.w[np.argsort(perm)], e_w=cls.e_w)
+        permuted = train(features_p, head, cls_p, cfg)
+        assert base.loss_history.tobytes() == permuted.loss_history.tobytes()
+
+        # and the same bits as a fresh sort at every step
+        monkeypatch.setattr(lpm_mod, "ClassSum", lambda k, n: lpm_mod._sum_classes)
+        fresh = train(features, head, cls, cfg)
+        assert base.loss_history.tobytes() == fresh.loss_history.tobytes()
+        assert base.snapshots == fresh.snapshots
+
+    @pytest.mark.parametrize("head_kind", ["explicit", "deq"])
+    def test_inputs_untouched(self, head_kind):
+        # the classifier starts inside its ball, so the projection hands
+        # back cls.w itself: the in-place updates must not reach it
+        features, head, cls = _small_instance(31, k=4, n=6, d=8, head_kind=head_kind, e_h=0.5)
+        cfg = TrainConfig(learning_rate=0.05, steps=50, e_h=0.5, log_every=10)
+        weights = lpm_mod.ClassPartition.build(features.labels, features.k).weights
+        assert lpm_mod._project_raw(features.h0, weights, head, cls.w, cfg)[2] is cls.w
+        head_w = lpm_mod._head_weight(head)
+        saved = [a.copy() for a in (features.h0, cls.w, head_w)]
+        first = train(features, head, cls, cfg)
+        for array, before in zip((features.h0, cls.w, head_w), saved):
+            np.testing.assert_array_equal(array, before)
+        # a second head trained from the same classifier starts where the first did
+        again = train(features, head, cls, cfg)
+        np.testing.assert_array_equal(first.loss_history, again.loss_history)
+
     def test_preimage_link_consistency(self):
         for head_kind in ("explicit", "deq"):
             trace, _ = self._run(head_kind=head_kind, steps=150)
@@ -462,8 +567,8 @@ class TestSnapshotParity:
         poisoned = w @ z
         softmax_terms = lpm_mod._softmax_terms
 
-        def diverging(logits, labels, cols):
-            per_sample, exp, denom = softmax_terms(logits, labels, cols)
+        def diverging(logits, *args):
+            per_sample, exp, denom = softmax_terms(logits, *args)
             if np.array_equal(logits, poisoned):
                 per_sample = np.full_like(per_sample, np.nan)
             return per_sample, exp, denom

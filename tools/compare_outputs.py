@@ -1,0 +1,94 @@
+"""Compare two collapsekit output trees (run or sweep directories).
+
+    python tools/compare_outputs.py A B
+
+Compared, by path relative to each tree's root:
+  * every *.csv, byte for byte;
+  * every state_*.npz, array by array: same names, dtypes, shapes and bytes;
+  * every report.json and sweep_summary.json as parsed JSON, with the timing
+    and location fields (duration_s, trace_path) dropped at any depth.
+A file of these kinds that exists in only one tree is a difference; other
+files are not compared. Prints each differing path, then a summary line.
+Exits 0 when the trees match, 1 on any difference, and 2 when neither tree
+holds a file to compare.
+"""
+
+from __future__ import annotations
+
+import argparse
+import filecmp
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+
+JSON_NAMES = ("report.json", "sweep_summary.json")
+DROPPED_KEYS = ("duration_s", "trace_path")
+
+
+def _compared_files(root: Path) -> set:
+    files = set()
+    for path in root.rglob("*"):
+        if path.is_file() and (
+            path.suffix == ".csv"
+            or (path.name.startswith("state_") and path.suffix == ".npz")
+            or path.name in JSON_NAMES
+        ):
+            files.add(path.relative_to(root))
+    return files
+
+
+def _drop_timing(value):
+    if isinstance(value, dict):
+        return {k: _drop_timing(v) for k, v in value.items() if k not in DROPPED_KEYS}
+    if isinstance(value, list):
+        return [_drop_timing(v) for v in value]
+    return value
+
+
+def _npz_equal(a: Path, b: Path) -> bool:
+    with np.load(a, allow_pickle=False) as fa, np.load(b, allow_pickle=False) as fb:
+        if sorted(fa.files) != sorted(fb.files):
+            return False
+        for name in fa.files:
+            x, y = fa[name], fb[name]
+            if x.dtype != y.dtype or x.shape != y.shape or x.tobytes() != y.tobytes():
+                return False
+    return True
+
+
+def files_equal(a: Path, b: Path) -> bool:
+    """Whether two output files of the same relative path match."""
+    if a.suffix == ".npz":
+        return _npz_equal(a, b)
+    if a.name in JSON_NAMES:
+        return _drop_timing(json.loads(a.read_text())) == _drop_timing(json.loads(b.read_text()))
+    return filecmp.cmp(a, b, shallow=False)
+
+
+def compare_trees(root_a: Path, root_b: Path) -> tuple:
+    """(files compared, sorted list of differing relative paths)."""
+    files_a, files_b = _compared_files(root_a), _compared_files(root_b)
+    differ = {str(rel) + " (only in one tree)" for rel in files_a ^ files_b}
+    common = files_a & files_b
+    differ.update(str(rel) for rel in common if not files_equal(root_a / rel, root_b / rel))
+    return len(files_a | files_b), sorted(differ)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("a", type=Path)
+    parser.add_argument("b", type=Path)
+    args = parser.parse_args(argv)
+    count, differ = compare_trees(args.a, args.b)
+    for rel in differ:
+        print(f"differs: {rel}")
+    print(f"{count} files compared, {len(differ)} differ")
+    if count == 0:
+        return 2
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
