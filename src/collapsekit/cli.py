@@ -9,10 +9,10 @@ Subcommands:
     export-gram <run-dir> write the sample and class-mean Gram CSVs from
                           saved state (runs write only the class-mean Gram)
 
-Exit codes: 0 success, 1 check failed, 2 config error, 3 training
-divergence, 4 solver non-convergence under an error policy, 5 artifact
-write or self-validation failure (OSError), 6 linear-algebra failure
-(SingularMatrixError or numpy.linalg.LinAlgError).
+Exit codes: 0 success, 1 check failed, 2 config error (a bad config file or
+command-line value), 3 training divergence, 4 solver non-convergence under
+an error policy, 5 artifact write or self-validation failure (OSError),
+6 linear-algebra failure (SingularMatrixError or numpy.linalg.LinAlgError).
 """
 
 from __future__ import annotations
@@ -90,6 +90,11 @@ def _common_flags(sub_parser) -> None:
     sub_parser.add_argument("--preset", choices=sorted(harness.PRESETS), default="desk")
 
 
+def _require(ok: bool, message: str) -> None:
+    if not ok:  # an out-of-range command-line value exits 2
+        raise ConfigError(message)
+
+
 def _cmd_run(args) -> int:
     cfg = harness.load_config(args.config, preset=args.preset)
     if args.seed is not None:
@@ -117,6 +122,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    _require(args.workers is None or args.workers >= 1, "--workers must be at least 1")
     if args.write_grid:
         written = harness.write_imbalance_grid(args.config_dir, seed=args.seed or 0)
         if not args.quiet:
@@ -134,7 +140,10 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_etf_check(args) -> int:
-    frame = etf.make_etf(args.k, args.d, args.alpha, make_rng(args.seed))
+    try:
+        frame = etf.make_etf(args.k, args.d, args.alpha, make_rng(args.seed))
+    except ValueError as exc:  # make_etf validates k, d and alpha
+        raise ConfigError(str(exc)) from exc
     p_residual = np.linalg.norm(frame.p.T @ frame.p - np.eye(args.k))
     gram_residual = np.linalg.norm(frame.gram() - etf.etf_gram(args.k, args.alpha))
     colsum_residual = np.linalg.norm(frame.s.sum(axis=1))
@@ -147,6 +156,9 @@ def _cmd_etf_check(args) -> int:
 
 
 def _cmd_bound_check(args) -> int:
+    _require(args.k >= 2, "--k must be at least 2")
+    for flag, value in (("--ew", args.ew), ("--eh", args.eh), ("--ratio", args.ratio)):
+        _require(value is None or 0.0 < value < math.inf, f"{flag} must be positive and finite")
     if args.ratio is not None:
         ratio = args.ratio
     else:
@@ -162,6 +174,7 @@ def _cmd_bound_check(args) -> int:
 
 
 def _cmd_lemma_fuzz(args) -> int:
+    _require(args.draws >= 1, "--draws must be at least 1")
     violations, worst = bounds.fuzz_log_bound(args.draws, args.seed)
     print(f"draws: {args.draws}  violations: {violations}  worst lhs-rhs: {worst:.3e}")
     print("PASS" if violations == 0 else "FAIL")

@@ -51,8 +51,11 @@ class DeqWeights:
 class SolverPolicy:
     """Early-stop policy for the fixed-point iteration.
 
-    Defaults follow the reference training recipe: threshold 1e-3, cap 20
-    iterations, and skip non-converged samples rather than aborting.
+    Defaults follow the reference training recipe: threshold 1e-3 and a cap
+    of 20 iterations. In training the policy governs the Picard diagnostic
+    of each snapshot (the forward solves in closed form): "skip" and
+    "accept-last" record an unconverged solve, its unconverged columns
+    counted in solver_skip_count, and "error" raises SolverConvergenceError.
     """
 
     epsilon: float = 1e-3
@@ -75,7 +78,7 @@ class FixedPointResult:
     """Outcome of one Picard solve over a D x N block of samples.
 
     converged is True exactly when the final update norm is <= epsilon;
-    column_residuals holds the per-sample update norms so callers can skip
+    column_residuals holds the per-sample update norms so callers can count
     individual non-converged samples.
     """
 
@@ -117,7 +120,7 @@ def fixed_point_iterate(weights: DeqWeights, h0, policy: SolverPolicy) -> FixedP
     iterations; the convergence flag and residual are reported honestly
     either way. With on_failure="error" a non-converged solve raises;
     "skip" and "accept-last" leave the handling to the caller, which can
-    consult column_residuals to drop individual samples.
+    consult column_residuals for individual samples.
     """
     h0 = as_matrix(h0, "h0")
     if h0.shape[0] != weights.dim:

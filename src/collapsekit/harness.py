@@ -26,7 +26,8 @@ Trace CSV schema (fixed column order, header mandatory):
     step,loss,accuracy,nc1,nc2,nc3,per_class_acc_0..K-1,solver_mean_iters,solver_skip_count
 
 All floats are written with repr(), which round-trips exactly; identical
-config + seed therefore reproduces every CSV byte for byte.
+config + seed therefore reproduces every CSV byte for byte at a fixed BLAS
+thread count.
 """
 
 from __future__ import annotations
@@ -550,7 +551,7 @@ def _train_head(cfg: ExperimentConfig, features: FeatureSet, h0_sha: str,
         h0=trace.features.h0,
         labels=trace.features.labels,
         w=trace.classifier.w,
-        head_w=trace.head.w_ex if head_name == "explicit" else trace.head.weights.w,
+        head_w=trace.head.weight,
     )
     return trace, _head_summary(head_name, trace, trace_path, consumed_sha)
 

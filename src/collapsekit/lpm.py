@@ -41,19 +41,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
+from . import deq, linalg
 from .deq import DeqWeights, SolverPolicy, fixed_point_iterate
 from .errors import TrainingDivergedError
 from .linalg import DEFAULT_PINV_CUTOFF, as_matrix, check_conditioning, solve_linear
 from .metrics import ClassPartition, NcReport, NcReporter
 from .metrics import nc_report  # noqa: F401  (lpm.nc_report: wrapped by perfbench/tracer.py)
 
-# Above this head dimension the training forward falls back to Picard
-# iteration instead of a direct solve.
-CLOSED_FORM_MAX_DIM = 512
+# The heads look deq.fixed_point_closed_form and linalg.pseudo_inverse up
+# through their modules at call time, so a rebinding of either is seen.
 
 # train() evaluates its snapshots in stacked chunks whose features hold at
 # most this many float64 elements (256 KB): 10 states at K=10, N=200, D=16,
@@ -123,8 +123,27 @@ class ClassifierWeights:
         return classifier_mean_square(self.w)
 
 
+class HeadModel:
+    """The interface both heads share:
+
+      weight, budget       the head weight and its Frobenius budget e_h
+      with_weight(w, e_h)  the same head with another weight and budget
+      apply(h0)            the head output for backbone features h0
+      preimage_operator()  the map z -> H0 with apply(H0) = z, constants built once
+      backward(upstream, h0, h)
+                           (grad_head, grad_h0) of <upstream, h> at h = apply(h0)
+      diagnostic(z, h0, preimage)
+                           a snapshot's (solver iterations, skip count); h0 is
+                           z's preimage, or None to take preimage(z)
+    """
+
+    @property
+    def d(self) -> int:
+        return self.weight.shape[0]
+
+
 @dataclass(frozen=True)
-class ExplicitHead:
+class ExplicitHead(HeadModel):
     """Plain linear head with Frobenius budget ||w_ex||_F <= e_h."""
 
     w_ex: np.ndarray
@@ -137,23 +156,81 @@ class ExplicitHead:
         object.__setattr__(self, "w_ex", w)
 
     @property
-    def d(self) -> int:
-        return self.w_ex.shape[0]
+    def weight(self) -> np.ndarray:
+        return self.w_ex
+
+    @property
+    def budget(self) -> float:
+        return self.e_h
+
+    def with_weight(self, w, e_h: float) -> "ExplicitHead":
+        return ExplicitHead(w_ex=w, e_h=e_h)
+
+    def apply(self, h0: np.ndarray) -> np.ndarray:
+        return self.w_ex @ h0
+
+    def preimage_operator(self):
+        """A conditioning-checked solve, or the minimum-norm preimage
+        through the pseudo-inverse when d0 > d."""
+        w = self.w_ex
+        d, d0 = w.shape
+        if d == d0:
+            check_conditioning(w)
+            return lambda z: np.linalg.solve(w, z)
+        if d0 > d:
+            pinv = linalg.pseudo_inverse(w, 1e-12)
+            return lambda z: pinv @ z
+        raise ValueError(
+            f"explicit head maps {d0} -> {d} dims; d0 >= d is required for an exact preimage"
+        )
+
+    def backward(self, upstream, h0, h) -> tuple:
+        return upstream @ h0.T, self.w_ex.T @ upstream
+
+    def diagnostic(self, z, h0, preimage) -> tuple:
+        return 0.0, 0
 
 
 @dataclass(frozen=True)
-class DeqHead:
-    """Equilibrium head: weights carry their own Frobenius budget."""
+class DeqHead(HeadModel):
+    """Equilibrium head: weights carry their own Frobenius budget. The
+    forward solves the equilibrium in closed form; the policy governs the
+    Picard diagnostic of each training snapshot."""
 
     weights: DeqWeights
     policy: SolverPolicy = SolverPolicy()
 
     @property
-    def d(self) -> int:
-        return self.weights.dim
+    def weight(self) -> np.ndarray:
+        return self.weights.w
 
+    @property
+    def budget(self) -> float:
+        return self.weights.e_h
 
-HeadModel = Union[ExplicitHead, DeqHead]
+    def with_weight(self, w, e_h: float) -> "DeqHead":
+        return DeqHead(weights=DeqWeights(w=w, e_h=e_h), policy=self.policy)
+
+    def apply(self, h0: np.ndarray) -> np.ndarray:
+        return deq.fixed_point_closed_form(self.weights, h0)
+
+    def preimage_operator(self):
+        """The link H0 = (I - W) z."""
+        link = np.eye(self.d) - self.weights.w
+        return lambda z: link @ z
+
+    def backward(self, upstream, h0, h) -> tuple:
+        grad_h0 = solve_linear((np.eye(self.d) - self.weights.w).T, upstream)
+        return grad_h0 @ h.T, grad_h0
+
+    def diagnostic(self, z, h0, preimage) -> tuple:
+        """Picard iteration under the head's policy, which raises when it does
+        not converge and on_failure is "error"; skips are the columns whose
+        last update exceeds epsilon."""
+        result = fixed_point_iterate(self.weights, preimage(z) if h0 is None else h0,
+                                     self.policy)
+        skips = np.count_nonzero(result.column_residuals > self.policy.epsilon)
+        return float(result.iterations), int(skips)
 
 
 @dataclass(frozen=True)
@@ -302,66 +379,15 @@ def _softmax_terms(logits: np.ndarray, picks: np.ndarray, class_sum=_sum_classes
 # raw-array core (the training loop avoids re-validating dataclasses per step)
 # ---------------------------------------------------------------------------
 
-def _is_explicit(head: HeadModel) -> bool:
-    return isinstance(head, ExplicitHead)
-
-
-def _apply_head_raw(head: HeadModel, h0: np.ndarray):
-    """Head output plus the keep-mask implied by the solver policy.
-
-    keep is None when every sample is usable. Only the iterative path with
-    on_failure="skip" can mask samples; the direct solve is exact whenever
-    the equilibrium exists.
-    """
-    if _is_explicit(head):
-        return head.w_ex @ h0, None
-    if head.d <= CLOSED_FORM_MAX_DIM:
-        from .deq import fixed_point_closed_form
-
-        return fixed_point_closed_form(head.weights, h0), None
-    result = fixed_point_iterate(head.weights, h0, head.policy)
-    keep = None
-    if not result.converged and head.policy.on_failure == "skip":
-        keep = result.column_residuals <= head.policy.epsilon
-    return result.z_star, keep
-
-
-def _loss_grads_raw(h0, labels, head, w):
-    h, keep = _apply_head_raw(head, h0)
-    logits = w @ h
-
-    n = logits.shape[1]
-    picks = _true_class_index(labels, n)
-    per_sample, exp, z = _softmax_terms(logits, picks)
-    if keep is None:
-        n_kept = n
-        loss = float(np.add.reduce(per_sample) / n)
-    else:
-        n_kept = int(np.count_nonzero(keep))
-        if n_kept == 0:
-            raise TrainingDivergedError("solver policy skipped every sample")
-        loss = float(np.add.reduce(per_sample[keep]) / n_kept)
-
-    g = exp / z
+def _logit_grads(exp, denom, picks, n, w, z):
+    """Gradients (grad_w, grad_z) of the mean cross-entropy of logits w @ z,
+    from _softmax_terms' exp (overwritten) and denom; grad_z contracts the
+    class axis in canonical order."""
+    g = np.divide(exp, denom, out=exp)
     g.reshape(-1)[picks] -= 1.0
-    g /= n_kept
-    if keep is not None:
-        g[:, ~keep] = 0.0
-
-    grad_w = g @ h.T
-    # upstream into the head, contracted over classes in canonical order
+    g /= n
     order = _class_order(w)
-    upstream = w[order].T @ g[order]
-
-    head_w = _head_weight(head)
-    if _is_explicit(head):
-        grad_head = upstream @ h0.T
-        grad_h0 = head_w.T @ upstream
-    else:
-        eye = np.eye(head_w.shape[0])
-        grad_h0 = solve_linear((eye - head_w).T, upstream)
-        grad_head = grad_h0 @ h.T
-    return loss, grad_w, grad_head, grad_h0, logits, h
+    return g @ z.T, w[order].T @ g[order]
 
 
 def _shrink_to_ball(block: np.ndarray, value_fn, budget: float, squared: bool):
@@ -393,49 +419,15 @@ def _shrink_to_ball(block: np.ndarray, value_fn, budget: float, squared: bool):
 def _project_raw(h0, weights, head, w, cfg: TrainConfig):
     """Project (H0, head, W); weights are the feature functional's."""
     w, _ = _shrink_to_ball(w, classifier_mean_square, cfg.e_w, squared=True)
-    head_w, _ = _shrink_to_ball(_head_weight(head), np.linalg.norm, cfg.e_h, squared=False)
-    head_budget = head.e_h if _is_explicit(head) else head.weights.e_h
-    if head_w is not _head_weight(head) or head_budget != cfg.e_h:
-        head = _rebuild_head(head, head_w, cfg.e_h)
+    head_w, _ = _shrink_to_ball(head.weight, np.linalg.norm, cfg.e_h, squared=False)
+    if head_w is not head.weight or head.budget != cfg.e_h:
+        head = head.with_weight(head_w, cfg.e_h)
 
     def induced(h0_candidate):
-        h, _ = _apply_head_raw(head, h0_candidate)
-        return _feature_norm(h, weights)
+        return _feature_norm(head.apply(h0_candidate), weights)
 
     h0, _ = _shrink_to_ball(h0, induced, cfg.feature_budget, squared=True)
     return h0, head, w
-
-
-def _head_weight(head: HeadModel) -> np.ndarray:
-    return head.w_ex if _is_explicit(head) else head.weights.w
-
-
-def _rebuild_head(head: HeadModel, head_w: np.ndarray, e_h: float) -> HeadModel:
-    if _is_explicit(head):
-        return ExplicitHead(w_ex=head_w, e_h=e_h)
-    return DeqHead(weights=DeqWeights(w=head_w, e_h=e_h), policy=head.policy)
-
-
-def _preimage_operator(head: HeadModel):
-    """The map z -> H0 with head(H0) = z, with its constants built once:
-    the deq link I - W, the explicit head's conditioning check, or its
-    pseudo-inverse when d0 > d."""
-    head_w = _head_weight(head)
-    if not _is_explicit(head):
-        link = np.eye(head_w.shape[0]) - head_w
-        return lambda z: link @ z
-    d, d0 = head_w.shape
-    if d == d0:
-        check_conditioning(head_w)
-        return lambda z: np.linalg.solve(head_w, z)
-    if d0 > d:
-        from .linalg import pseudo_inverse
-
-        pinv = pseudo_inverse(head_w, 1e-12)
-        return lambda z: pinv @ z
-    raise ValueError(
-        f"explicit head maps {d0} -> {d} dims; d0 >= d is required for an exact preimage"
-    )
 
 
 def head_preimage(head: HeadModel, z: np.ndarray) -> np.ndarray:
@@ -449,7 +441,7 @@ def head_preimage(head: HeadModel, z: np.ndarray) -> np.ndarray:
     z = as_matrix(z, "z")
     if z.shape[0] != head.d:
         raise ValueError(f"z has {z.shape[0]} rows, head outputs {head.d}")
-    return _preimage_operator(head)(z)
+    return head.preimage_operator()(z)
 
 
 # ---------------------------------------------------------------------------
@@ -457,14 +449,9 @@ def head_preimage(head: HeadModel, z: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def head_features(head: HeadModel, h0) -> np.ndarray:
-    """Map backbone features through the head.
-
-    The equilibrium head uses the direct solve up to CLOSED_FORM_MAX_DIM and
-    Picard iteration above it; both paths produce the same equilibrium for a
-    contraction, which the tests cross-check.
-    """
-    h, _ = _apply_head_raw(head, as_matrix(h0, "h0"))
-    return h
+    """Map backbone features through the head; the equilibrium head solves
+    (I - W) z = h0 directly."""
+    return head.apply(as_matrix(h0, "h0"))
 
 
 def cross_entropy(logits, labels) -> float:
@@ -497,12 +484,17 @@ def loss_and_grads(features: FeatureSet, head: HeadModel, cls: ClassifierWeights
     """Cross-entropy loss and its exact gradients for every trainable block.
 
     Returns (loss, grads, logits, h) with grads keyed by "w", "head", "h0".
-    Samples masked by the solver policy are excluded from the mean.
     """
-    loss, gw, ghead, gh0, logits, h = _loss_grads_raw(
-        features.h0, features.labels, head, cls.w
-    )
-    return loss, {"w": gw, "head": ghead, "h0": gh0}, logits, h
+    h0, w = features.h0, cls.w
+    h = head.apply(h0)
+    logits = w @ h
+    n = logits.shape[1]
+    picks = _true_class_index(features.labels, n)
+    per_sample, exp, denom = _softmax_terms(logits, picks)
+    grad_w, upstream = _logit_grads(exp, denom, picks, n, w, h)
+    grad_head, grad_h0 = head.backward(upstream, h0, h)
+    loss = float(np.add.reduce(per_sample) / n)
+    return loss, {"w": grad_w, "head": grad_head, "h0": grad_h0}, logits, h
 
 
 def project_feasible(
@@ -533,8 +525,7 @@ class _SnapshotBuffer:
     appended in step order to snapshots (see train).
 
     pending holds (step, z, w, logits, loss, h0) per record, h0 given at
-    step 0 only. The run's metric constants and the deq head's accept-last
-    Picard policy are built once.
+    step 0 only. The run's metric constants are built once.
     """
 
     def __init__(self, head: HeadModel, preimage, partition: ClassPartition,
@@ -542,8 +533,6 @@ class _SnapshotBuffer:
         self.reporter = NcReporter.build(partition, cfg.metric_cutoff, cfg.minority_classes)
         self.head = head
         self.preimage = preimage
-        if not _is_explicit(head):
-            self.policy = replace(head.policy, on_failure="accept-last")
         self.chunk = max(1, SNAPSHOT_CHUNK_ELEMENTS // feature_size)
         self.pending = []
         self.snapshots = snapshots
@@ -565,15 +554,7 @@ class _SnapshotBuffer:
         self.pending = []
         reports = self.reporter.reports(np.stack(zs), np.stack(ws), np.stack(logits), losses)
         for step, z, h0, loss, report in zip(steps, zs, h0s, losses, reports):
-            mean_iters, skip_count = 0.0, 0
-            if not _is_explicit(self.head):
-                result = fixed_point_iterate(
-                    self.head.weights, self.preimage(z) if h0 is None else h0, self.policy
-                )
-                mean_iters = float(result.iterations)
-                skip_count = int(
-                    np.count_nonzero(result.column_residuals > self.head.policy.epsilon)
-                )
+            mean_iters, skip_count = self.head.diagnostic(z, h0, self.preimage)
             self.snapshots.append(TraceSnapshot(
                 step=step,
                 loss=loss,
@@ -605,8 +586,9 @@ def train(
     A snapshot is recorded with the logits and loss the loop computes for
     its state, and evaluated later. Pending records are evaluated in one
     stacked pass once their features fill SNAPSHOT_CHUNK_ELEMENTS, at the
-    end of training, and before TrainingDivergedError is raised. The deq
-    head's Picard diagnostic runs per snapshot.
+    end of training, and before TrainingDivergedError is raised. The head's
+    diagnostic runs per snapshot: the deq head's Picard solve, whose
+    SolverConvergenceError under on_failure="error" ends the run.
 
     Built once per run and reused by every step and snapshot:
       * the class partition: per-class index arrays, class counts and the
@@ -615,7 +597,7 @@ def train(
         head) and its preimage operator: the explicit head's conditioning
         check, or the deq link I - W;
       * the NC metric constants (cosine pair index, normalized ETF
-        target) and the deq head's accept-last Picard policy;
+        target);
       * the head's slack term, constant because the head weight is;
       * the true-class flat index, the ClassSum that keeps each column's
         class order from step to step, and the buffers the momentum and
@@ -626,9 +608,9 @@ def train(
     partition = ClassPartition.build(labels, k)
     weights = partition.weights
     h0, head, w = _project_raw(features.h0, weights, head, cls.w, cfg)
-    z, _ = _apply_head_raw(head, h0)
-    preimage = _preimage_operator(head)
-    head_slack = float(np.linalg.norm(_head_weight(head))) / cfg.e_h - 1.0
+    z = head.apply(h0)
+    preimage = head.preimage_operator()
+    head_slack = float(np.linalg.norm(head.weight)) / cfg.e_h - 1.0
     n = z.shape[1]
     picks = _true_class_index(labels, n)
     class_sum = ClassSum(k, n)
@@ -675,12 +657,7 @@ def train(
             )
         losses.append(loss)
 
-        g = np.divide(exp, denom, out=exp)
-        g.reshape(-1)[picks] -= 1.0
-        g /= n
-        gw = g @ z.T
-        order = _class_order(w)
-        gz = w[order].T @ g[order]
+        gw, gz = _logit_grads(exp, denom, picks, n, w, z)
 
         # v = momentum * v + grad; x = x - learning_rate * v
         np.multiply(v_w, cfg.momentum, out=v_w)

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -51,6 +52,28 @@ class TestRunCommand:
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
 
+    # one Picard step cannot reach epsilon = 1e-12, so every snapshot's
+    # diagnostic solve leaves all N columns unconverged
+    UNCONVERGED = dict(t_max=1, epsilon=1e-12)
+
+    @pytest.mark.parametrize("head", ["deq", "both"])
+    def test_error_policy_exits_4(self, tmp_path, capsys, head):
+        lines = _cfg_lines(head=head, on_failure="error", **self.UNCONVERGED)
+        out = tmp_path / "out"
+        assert main(["run", str(_write(tmp_path, "stuck.cfg", lines)), "--out", str(out)]) == 4
+        assert "solver did not converge" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
+    def test_skip_policy_counts_every_column(self, tmp_path):
+        lines = _cfg_lines(head="deq", on_failure="skip", **self.UNCONVERGED)
+        out = tmp_path / "out"
+        assert main(["run", str(_write(tmp_path, "stuck.cfg", lines)), "--out", str(out),
+                     "--quiet"]) == 0
+        with (out / "trace.csv").open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["step"] for row in rows] == ["0", "10", "20"]
+        assert all(row["solver_skip_count"] == "12" for row in rows)  # N = 3 x 4
+
     def test_paper_preset(self, tmp_path):
         cfg = _write(tmp_path, "demo.cfg", _cfg_lines())
         out = tmp_path / "paper"
@@ -74,6 +97,27 @@ class TestChecks:
         assert main(["bound-check", "--k", "3", "--ew", "0.5", "--eh", "0.5",
                      "--ratio", "2.0"]) == 0
         assert "c2/c1 = 2" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["bound-check", "--k", "1", "--ew", "1", "--eh", "1"],
+        ["bound-check", "--k", "4", "--ew", "-1", "--eh", "1"],
+        ["bound-check", "--k", "4", "--ew", "1", "--eh", "1", "--ratio", "0"],
+        ["etf-check", "--k", "1", "--d", "4"],
+        ["etf-check", "--k", "4", "--d", "2"],
+        ["lemma-fuzz", "--draws", "0"],
+        ["lemma-fuzz", "--draws", "-5"],
+        ["sweep", "{dir}", "--workers", "0"],
+    ], ids=["bound-k1", "bound-ew-negative", "bound-ratio-0", "etf-k1", "etf-d-below-k",
+            "fuzz-draws-0", "fuzz-draws-negative", "sweep-workers-0"])
+    def test_bad_values_exit_2(self, tmp_path, capsys, argv):
+        _write(tmp_path, "one.cfg", _cfg_lines())
+        out = tmp_path / "runs"
+        argv = [arg.format(dir=tmp_path) for arg in argv]
+        assert main(argv + (["--out", str(out)] if argv[0] == "sweep" else [])) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1
+        assert "PASS" not in captured.out
+        assert not out.exists()
 
     def test_lemma_fuzz(self, capsys):
         assert main(["lemma-fuzz", "--draws", "500", "--seed", "1"]) == 0

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import collapsekit.lpm as lpm_mod
-from collapsekit.deq import DeqWeights, SolverPolicy, fixed_point_iterate
+from collapsekit.deq import DeqWeights, fixed_point_iterate
 from collapsekit.errors import TrainingDivergedError
 from collapsekit.linalg import make_rng
 from collapsekit.lpm import (
@@ -414,7 +414,7 @@ class TestTrain:
         cfg = TrainConfig(learning_rate=0.05, steps=50, e_h=0.5, log_every=10)
         weights = lpm_mod.ClassPartition.build(features.labels, features.k).weights
         assert lpm_mod._project_raw(features.h0, weights, head, cls.w, cfg)[2] is cls.w
-        head_w = lpm_mod._head_weight(head)
+        head_w = head.weight
         saved = [a.copy() for a in (features.h0, cls.w, head_w)]
         first = train(features, head, cls, cfg)
         for array, before in zip((features.h0, cls.w, head_w), saved):
@@ -504,7 +504,7 @@ class TestSnapshotParity:
                            minority_classes=cfg.minority_classes)
         iters, skips = 0.0, 0
         if isinstance(trace.head, DeqHead):
-            policy = replace(trace.head.policy, on_failure="accept-last")
+            policy = trace.head.policy
             h0 = head_preimage(trace.head, z) if h0 is None else h0
             result = fixed_point_iterate(trace.head.weights, h0, policy)
             iters = float(result.iterations)
@@ -632,43 +632,6 @@ class TestShrinkToBall:
         assert value > budget
         twice, _ = lpm_mod._shrink_to_ball(once, classifier_mean_square, budget, True)
         np.testing.assert_array_equal(twice, once)
-
-
-class TestIterativePath:
-    def test_forward_matches_closed_form(self, monkeypatch):
-        monkeypatch.setattr(lpm_mod, "CLOSED_FORM_MAX_DIM", 0)
-        rng = make_rng(5)
-        labels = np.repeat(np.arange(2), 3)
-        h0 = rng.standard_normal((4, 6))
-        features = FeatureSet(h0=h0, labels=labels, k=2)
-        w_deq = rng.standard_normal((4, 4))
-        w_deq *= 0.3 / np.linalg.norm(w_deq)
-        head = DeqHead(
-            weights=DeqWeights(w=w_deq, e_h=0.3),
-            policy=SolverPolicy(epsilon=1e-12, t_max=10_000),
-        )
-        iterative = head_features(head, h0)
-        monkeypatch.setattr(lpm_mod, "CLOSED_FORM_MAX_DIM", 512)
-        closed = head_features(head, h0)
-        assert np.linalg.norm(iterative - closed) < 1e-8
-
-    def test_skip_policy_masks_unconverged_samples(self, monkeypatch):
-        monkeypatch.setattr(lpm_mod, "CLOSED_FORM_MAX_DIM", 0)
-        rng = make_rng(6)
-        labels = np.repeat(np.arange(2), 4)
-        h0 = rng.standard_normal((3, 8))
-        h0[:, 0] *= 1e7  # one sample too large to converge within t_max
-        features = FeatureSet(h0=h0, labels=labels, k=2)
-        head = DeqHead(
-            weights=DeqWeights(w=0.5 * np.eye(3), e_h=2.0),
-            policy=SolverPolicy(epsilon=1e-3, t_max=15, on_failure="skip"),
-        )
-        cls = ClassifierWeights(w=rng.standard_normal((2, 3)), e_w=10.0)
-        loss, grads, _, _ = loss_and_grads(features, head, cls)
-        assert math.isfinite(loss)
-        # the masked column contributes no feature gradient
-        assert np.all(grads["h0"][:, 0] == 0.0)
-        assert np.any(grads["h0"][:, 1:] != 0.0)
 
 
 class TestInitializers:

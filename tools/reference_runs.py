@@ -1,0 +1,96 @@
+"""Write and run the standard output-identity set of collapsekit runs.
+
+    python tools/reference_runs.py OUT
+
+Each entry of RUNS becomes OUT/configs/<name>.cfg and runs into OUT/<name>;
+then `sweep --write-grid --seed 6` writes the nine imbalance-grid configs to
+OUT/grid-configs and runs them into OUT/grid. Every command runs with
+OPENBLAS_NUM_THREADS=1, so its outputs are reproducible bit for bit, and
+uses the collapsekit under src/ next to this tools/ directory. Run it at two
+revisions and compare the trees with
+
+    python tools/compare_outputs.py OUT_A OUT_B
+
+Exits with the first failing command's exit code, or 0.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+_DESK = {"learning_rate": 0.05, "momentum": 0.9, "e_w": 1.0}
+
+# name -> config keys; every run takes one command
+RUNS = {
+    # the benchmark's dense-trace workload: both heads, a snapshot every 2 steps
+    "dense-trace": dict(
+        _DESK, head="both", k=10, d0=16, d=16, balanced_n=20, steps=2000,
+        e_h=1.0, feature_budget=1.0, log_every=2, seed=7,
+    ),
+    # the benchmark's wide-imbalance workload: explicit head, N = 1535
+    "wide-imbalance": dict(
+        _DESK, head="explicit", k=10, d0=16, d=16, k_a=3, k_b=7, n_a=500, r=100,
+        steps=2000, e_h=1.0, feature_budget=1.0, log_every=500, seed=11,
+    ),
+    # criterion 08's imbalanced head comparison
+    "criterion-08": dict(
+        _DESK, head="both", k=4, d0=16, d=16, k_a=2, k_b=2, n_a=100, r=50,
+        steps=8000, e_h=0.5, feature_budget=0.5, log_every=2000, seed=3,
+    ),
+    # the equilibrium head alone, balanced, snapshots off the step grid
+    "balanced-deq": dict(
+        _DESK, head="deq", k=4, d0=16, d=16, balanced_n=30, steps=2000,
+        e_h=0.5, feature_budget=1.0, log_every=7, seed=0,
+    ),
+    # explicit head with d0 > d: the pseudo-inverse preimage
+    "explicit-wide": dict(
+        _DESK, head="explicit", k=5, d0=20, d=12, k_a=2, k_b=3, n_a=40, r=10,
+        steps=1500, e_h=1.0, feature_budget=1.0, log_every=3, seed=0,
+    ),
+}
+
+GRID_SEED = 6
+
+
+def write_configs(config_dir) -> list:
+    """Write one <name>.cfg per RUNS entry; returns their paths."""
+    config_dir = Path(config_dir)
+    config_dir.mkdir(parents=True, exist_ok=True)
+    paths = []
+    for name, keys in RUNS.items():
+        lines = [f"name = {name}"] + [f"{key} = {value}" for key, value in keys.items()]
+        path = config_dir / f"{name}.cfg"
+        path.write_text("\n".join(lines) + "\n")
+        paths.append(path)
+    return paths
+
+
+def _collapsekit(*args, cwd: Path) -> int:
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    command = [sys.executable, "-m", "collapsekit", *map(str, args), "--quiet"]
+    print(" ".join(command[1:]), flush=True)
+    return subprocess.run(command, cwd=cwd, env=env).returncode
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("out", type=Path, help="output directory (created)")
+    out = parser.parse_args(argv).out.resolve()
+    out.mkdir(parents=True, exist_ok=True)
+    for path in write_configs(out / "configs"):
+        code = _collapsekit("run", path, "--out", out / path.stem, cwd=out)
+        if code:
+            return code
+    return _collapsekit("sweep", out / "grid-configs", "--write-grid", "--seed", GRID_SEED,
+                        "--out", out / "grid", cwd=out)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
