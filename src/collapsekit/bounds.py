@@ -13,6 +13,7 @@ Covers four pieces of machinery:
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -88,26 +89,30 @@ def log_share_bound(deltas, k_index: int, consts: BoundConstants):
         raise ValueError(f"constants built for K={consts.k}, got {k} deltas")
     log_d = np.log(deltas)
     lhs = float(log_d[k_index] - math.log(np.sum(deltas)))
-    others = np.delete(log_d, k_index)
-    gap = float(log_d[k_index] - others.mean())
-    rhs = consts.m1 * gap + consts.m2
+    rhs = consts.m1 * _log_gap(log_d, k_index) + consts.m2
     return lhs, rhs
+
+
+def _log_gap(log_d: np.ndarray, k_index: int) -> float:
+    # A = log delta_k - mean of the other log deltas
+    return float(log_d[k_index] - np.delete(log_d, k_index).mean())
+
+
+def ratio_at_gap(gap: float, k: int) -> float:
+    """The tight ratio c2/c1 = (K-1) exp(-A) at a log gap A."""
+    return (k - 1) * math.exp(-gap)
 
 
 def tightest_ratio(deltas, k_index: int) -> float:
     """The ratio c2/c1 at which the bound is tight.
 
     With A = log delta_k - mean of the other log deltas, the Jensen equality
-    condition forces c2/c1 = (K-1) exp(-A); the bound's right side is convex
-    in the mixing weight, so this ratio minimizes it (equivalently, it gives
-    the largest valid loss floor).
+    condition forces c2/c1 = (K-1) exp(-A) (ratio_at_gap); the bound's right
+    side is convex in the mixing weight, so this ratio minimizes it
+    (equivalently, it gives the largest valid loss floor).
     """
     deltas = _validate_deltas(deltas, k_index)
-    k = deltas.size
-    log_d = np.log(deltas)
-    others = np.delete(log_d, k_index)
-    gap = float(log_d[k_index] - others.mean())
-    return (k - 1) * math.exp(-gap)
+    return ratio_at_gap(_log_gap(np.log(deltas), k_index), deltas.size)
 
 
 def fuzz_log_bound(draws: int, seed: int, tol: float = 1e-12):
@@ -171,7 +176,7 @@ def constants_from_logits(logits, labels, k: int) -> BoundConstants:
     true_logit = logits[labels, cols]
     other_mean = (logits.sum(axis=0) - true_logit) / (k - 1)
     mean_gap = float(np.mean(true_logit - other_mean))
-    return BoundConstants.from_ratio((k - 1) * math.exp(-mean_gap), k)
+    return BoundConstants.from_ratio(ratio_at_gap(mean_gap, k), k)
 
 
 # ---------------------------------------------------------------------------
@@ -247,16 +252,7 @@ class ConditionReport:
     nc3_cosine_ratio: Optional[float] = None
 
     def as_dict(self) -> dict:
-        return {
-            "nc2_condition_holds": self.nc2_condition_holds,
-            "nc2_margin": self.nc2_margin,
-            "nc2_tight_margin": self.nc2_tight_margin,
-            "nc3_condition_holds": self.nc3_condition_holds,
-            "nc3_margin": self.nc3_margin,
-            "nc2_distance_explicit": self.nc2_distance_explicit,
-            "nc2_distance_deq": self.nc2_distance_deq,
-            "nc3_cosine_ratio": self.nc3_cosine_ratio,
-        }
+        return dataclasses.asdict(self)
 
 
 def comparison_conditions(e_w: float, e_h: float, gram_h0, etf_target) -> ConditionReport:
@@ -320,7 +316,7 @@ class ExtremeImbalanceReport:
     etf_within_tol: bool
 
     def as_dict(self) -> dict:
-        return {key: getattr(self, key) for key in self.__dataclass_fields__}
+        return dataclasses.asdict(self)
 
 
 def extreme_imbalance_report(

@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -96,9 +95,7 @@ def _require(ok: bool, message: str) -> None:
 
 
 def _cmd_run(args) -> int:
-    cfg = harness.load_config(args.config, preset=args.preset)
-    if args.seed is not None:
-        cfg = replace(cfg, train=replace(cfg.train, seed=args.seed))
+    cfg = harness.with_seed(harness.load_config(args.config, preset=args.preset), args.seed)
     record = harness.run_experiment(cfg, out_dir=args.out, quiet=args.quiet)
     if not args.quiet:
         print(f"run {record.name}: hash {record.config_hash[:12]} ({record.duration_s:.2f} s)")
@@ -161,9 +158,8 @@ def _cmd_bound_check(args) -> int:
         _require(value is None or 0.0 < value < math.inf, f"{flag} must be positive and finite")
     if args.ratio is not None:
         ratio = args.ratio
-    else:
-        gap = (args.k / (args.k - 1)) * math.sqrt(args.ew * args.eh)
-        ratio = (args.k - 1) * math.exp(-gap)
+    else:  # the log gap at the collapsed optimum
+        ratio = bounds.ratio_at_gap((args.k / (args.k - 1)) * math.sqrt(args.ew * args.eh), args.k)
     consts = bounds.BoundConstants.from_ratio(ratio, args.k)
     deq_floor, explicit_floor = bounds.balanced_loss_floor(args.ew, args.eh, args.k, consts)
     print(f"constants: c2/c1 = {ratio:.6g}  m1 = {consts.m1:.6g}  m2 = {consts.m2:.6g}")
@@ -199,6 +195,9 @@ def main(argv=None) -> int:
         "export-gram": _cmd_export_gram,
     }
     try:
+        # one check for every --seed, before a command writes anything
+        _require(getattr(args, "seed", None) is None or args.seed >= 0,
+                 "--seed must be non-negative")
         return handlers[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

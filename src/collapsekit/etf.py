@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, frobenius_norms
+from .linalg import as_matrix, frobenius_norms, random_orthonormal
 
 
 def centering_matrix(k: int) -> np.ndarray:
@@ -55,9 +55,8 @@ class EtfFrame:
 def make_etf(k: int, d: int, alpha: float, rng: np.random.Generator) -> EtfFrame:
     """Construct a simplex ETF with a uniformly random partial-orthogonal P.
 
-    P is drawn as the Q factor of a Gaussian D x K matrix with column signs
-    fixed by the R diagonal, which makes the draw Haar-distributed and
-    reproducible under a seed.
+    P is drawn by random_orthonormal: Haar-distributed and reproducible
+    under a seed.
     """
     if k < 2:
         raise ValueError(f"need at least two classes, got k={k}")
@@ -65,9 +64,7 @@ def make_etf(k: int, d: int, alpha: float, rng: np.random.Generator) -> EtfFrame
         raise ValueError(f"frame dimension d={d} must be at least k={k}")
     if alpha == 0.0:
         raise ValueError("alpha must be non-zero")
-    g = rng.standard_normal((d, k))
-    q, r = np.linalg.qr(g)
-    q = q * np.where(np.diag(r) >= 0.0, 1.0, -1.0)
+    q = random_orthonormal(d, k, rng)
     s = alpha * math.sqrt(k / (k - 1)) * (q @ centering_matrix(k))
     return EtfFrame(s=s, alpha=float(alpha), p=q, k=k, d=d)
 

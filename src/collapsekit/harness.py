@@ -9,9 +9,13 @@ shared backbone-feature initialization, and persists:
     gram_class_means.csv  K x K Gram of final class means
     state_<head>.npz      final parameters, for re-exporting Grams
 
-The N x N sample Gram (gram_samples.csv, final post-head features,
-class-sorted) is written only on request, by `collapsekit export-gram`
-(reexport_grams), from the saved state.
+A head's final post-head features are head(preimage(z)) of its last state;
+_train_head computes them and their class means once, writes the Gram and
+state from them, and returns the head's summary with its class means and
+classifier, which is all the cross-head comparison reads. The N x N sample
+Gram (gram_samples.csv, final post-head features, class-sorted) is written
+only on request, by `collapsekit export-gram` (reexport_grams), from the
+saved state.
 
 With head = both, each head's artifacts land in an explicit/ or deq/
 subdirectory of the run directory and report.json at the top level carries
@@ -38,6 +42,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, replace
@@ -115,7 +120,6 @@ class ExperimentConfig:
     d: int
     train: TrainConfig
     solver: SolverPolicy
-    metric_cutoff: float
     output_dir: str
     balanced_n: Optional[int] = None
     imbalance: Optional[ImbalanceSpec] = None
@@ -174,7 +178,7 @@ class ExperimentConfig:
             "epsilon": self.solver.epsilon,
             "t_max": self.solver.t_max,
             "on_failure": self.solver.on_failure,
-            "metric_cutoff": self.metric_cutoff,
+            "metric_cutoff": self.train.metric_cutoff,
         }
         if self.balanced_n is not None:
             out["balanced_n"] = self.balanced_n
@@ -189,14 +193,10 @@ class ExperimentConfig:
 
     def canonical_string(self) -> str:
         """Key-sorted, type-normalized serialization; the hash input."""
-        parts = []
-        for key in sorted(self.canonical_dict()):
-            value = self.canonical_dict()[key]
-            if isinstance(value, float):
-                parts.append(f"{key}={value!r}")
-            else:
-                parts.append(f"{key}={value}")
-        return "\n".join(parts)
+        return "\n".join(
+            f"{key}={value!r}" if isinstance(value, float) else f"{key}={value}"
+            for key, value in sorted(self.canonical_dict().items())
+        )
 
     def config_hash(self) -> str:
         return hashlib.sha256(self.canonical_string().encode()).hexdigest()
@@ -218,6 +218,9 @@ def config_from_dict(raw: dict, preset: str = "desk", name: str = "experiment") 
     values = dict(_DEFAULTS)
     values.update(PRESETS[preset])
     values.update(raw)
+    for key, value in values.items():
+        if _SCHEMA[key] is float and not math.isfinite(value):
+            raise ConfigError(f"{key} must be finite, got {value!r}")
 
     for key in ("head", "k"):
         if key not in values:
@@ -243,11 +246,12 @@ def config_from_dict(raw: dict, preset: str = "desk", name: str = "experiment") 
             raise ConfigError(
                 f"n_a={n_a} must be a positive multiple of r={ratio} so n_b is integral"
             )
-        imbalance = ImbalanceSpec(
-            k_a=values["k_a"], k_b=values["k_b"], n_a=n_a, n_b=n_a // ratio
-        )
 
     try:
+        if imbalance_keys:
+            imbalance = ImbalanceSpec(
+                k_a=values["k_a"], k_b=values["k_b"], n_a=n_a, n_b=n_a // ratio
+            )
         train = TrainConfig(
             learning_rate=values["learning_rate"],
             steps=values["steps"],
@@ -276,11 +280,21 @@ def config_from_dict(raw: dict, preset: str = "desk", name: str = "experiment") 
         d=values["d"],
         train=train,
         solver=solver,
-        metric_cutoff=values["metric_cutoff"],
         output_dir=values["output_dir"],
         balanced_n=balanced_n,
         imbalance=imbalance,
     )
+
+
+def with_seed(cfg: ExperimentConfig, seed: Optional[int]) -> ExperimentConfig:
+    """cfg with its seed replaced by seed, or cfg itself when seed is None;
+    a negative seed is a ConfigError."""
+    if seed is None:
+        return cfg
+    try:
+        return replace(cfg, train=replace(cfg.train, seed=seed))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def load_config(path, preset: str = "desk") -> ExperimentConfig:
@@ -345,56 +359,40 @@ def write_trace_csv(trace: TrainTrace, k: int, path: Path) -> None:
     )
     rows = []
     for snap in trace.snapshots:
+        report = snap.report
         rows.append(
-            [str(snap.step), _fmt(snap.loss), _fmt(snap.accuracy),
-             _fmt(snap.report.nc1), _fmt(snap.report.nc2), _fmt(snap.report.nc3)]
-            + [_fmt(a) for a in snap.report.per_class_accuracy]
+            [str(snap.step), _fmt(report.loss), _fmt(report.accuracy),
+             _fmt(report.nc1), _fmt(report.nc2), _fmt(report.nc3)]
+            + [_fmt(a) for a in report.per_class_accuracy]
             + [_fmt(snap.solver_mean_iters), str(snap.solver_skip_count)]
         )
     _write_validated_csv(path, header, rows)
 
 
-def export_class_mean_gram(features_h, labels, out_dir) -> Path:
-    """Write the K x K Gram of the class-mean features; returns its path.
-
-    Every value is repr()-formatted, so re-parsing the CSV reproduces the
-    in-memory Gram exactly.
-    """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    h = np.asarray(features_h, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    k = int(labels.max()) + 1
-    means = class_means(h, labels, k)
-    mean_gram = means.T @ means
-    means_path = out_dir / "gram_class_means.csv"
-    header = [f"g_{j}" for j in range(k)]
-    _write_validated_csv(
-        means_path, header, [[_fmt(v) for v in row] for row in mean_gram]
-    )
-    return means_path
+def _write_gram_csv(path: Path, gram: np.ndarray) -> None:
+    """Write a Gram matrix under a g_0..g_{n-1} header. Every value is
+    repr()-formatted, so re-parsing the CSV reproduces the Gram exactly."""
+    header = [f"g_{j}" for j in range(gram.shape[1])]
+    _write_validated_csv(path, header, [[_fmt(v) for v in row] for row in gram])
 
 
 def export_gram(features_h, labels, out_dir) -> tuple:
-    """Write the class-sorted sample Gram H^T H and the class-mean Gram.
+    """Write the class-mean Gram and the class-sorted sample Gram H^T H.
 
     Returns (samples_path, means_path). The sample Gram is N x N repr()
     text, re-parsed in full for validation, so runs leave it to
     `collapsekit export-gram`.
     """
     out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     h = np.asarray(features_h, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    means_path = export_class_mean_gram(h, labels, out_dir)
-    order = np.argsort(labels, kind="stable")
-    h_sorted = h[:, order]
-    gram = h_sorted.T @ h_sorted
-
+    means = class_means(h, labels, int(labels.max()) + 1)
+    means_path = out_dir / "gram_class_means.csv"
+    _write_gram_csv(means_path, means.T @ means)
+    h_sorted = h[:, np.argsort(labels, kind="stable")]
     samples_path = out_dir / "gram_samples.csv"
-    header = [f"g_{j}" for j in range(gram.shape[1])]
-    _write_validated_csv(
-        samples_path, header, [[_fmt(v) for v in row] for row in gram]
-    )
+    _write_gram_csv(samples_path, h_sorted.T @ h_sorted)
     return samples_path, means_path
 
 
@@ -447,16 +445,15 @@ class RunRecord:
     condition_note: Optional[str] = None
 
     def as_dict(self) -> dict:
-        out = dataclasses.asdict(self)
-        return out
+        return dataclasses.asdict(self)
 
 
 def _head_summary(head_name: str, trace: TrainTrace, trace_path: Path, h0_sha: str) -> HeadSummary:
-    accs = [snap.accuracy for snap in trace.snapshots[-10:]]
+    accs = [snap.report.accuracy for snap in trace.snapshots[-10:]]
     return HeadSummary(
         head=head_name,
         final_report=trace.final.report.as_dict(),
-        final_loss=trace.final.loss,
+        final_loss=trace.final.report.loss,
         acc_last10_mean=float(np.mean(accs)),
         acc_last10_std=float(np.std(accs)),
         solver_skip_total=int(sum(s.solver_skip_count for s in trace.snapshots)),
@@ -466,15 +463,8 @@ def _head_summary(head_name: str, trace: TrainTrace, trace_path: Path, h0_sha: s
     )
 
 
-def _class_mean_features(trace: TrainTrace) -> np.ndarray:
-    h = lpm.head_features(trace.head, trace.features.h0)
-    return class_means(h, trace.features.labels, trace.features.k)
-
-
-def _mean_class_cosine(trace: TrainTrace) -> float:
+def _mean_class_cosine(means: np.ndarray, w: np.ndarray) -> float:
     """Mean over classes of cos(class-mean feature, classifier row)."""
-    means = _class_mean_features(trace)
-    w = trace.classifier.w
     cosines = []
     for c in range(means.shape[1]):
         m, row = means[:, c], w[c]
@@ -483,16 +473,16 @@ def _mean_class_cosine(trace: TrainTrace) -> float:
     return float(np.mean(cosines))
 
 
-def compare_heads(cfg: ExperimentConfig, features_init: FeatureSet, traces: dict) -> tuple:
+def compare_heads(cfg: ExperimentConfig, features_init: FeatureSet, finals: dict) -> tuple:
     """Cross-head comparison for an imbalanced both-heads run.
 
     The scalar preconditions are evaluated on the shared backbone features
     both heads started from (the backbone output is standardized across
     models, so its class-mean Gram is the m matrix the conditions refer to).
-    The realized quantities they gate are measured on the trained states:
-    raw Gram distances of class-mean post-head features to the budget-scaled
-    ETF Gram, and the ratio of mean feature/classifier cosines (deq over
-    explicit).
+    The realized quantities they gate are measured on the trained states,
+    which finals maps, per head, to (final class means, classifier): raw
+    Gram distances of the class means to the budget-scaled ETF Gram, and
+    the ratio of mean feature/classifier cosines (deq over explicit).
     """
     if cfg.train.e_h >= 1.0:
         return None, "e_h >= 1: comparison conditions undefined (1/(1-e_h) diverges)"
@@ -502,16 +492,14 @@ def compare_heads(cfg: ExperimentConfig, features_init: FeatureSet, traces: dict
         cfg.train.e_w, cfg.train.e_h, means0.T @ means0, target
     )
     alpha = np.sqrt(cfg.train.feature_budget)
-    dist = {}
-    for name, trace in traces.items():
-        means = _class_mean_features(trace)
-        dist[name] = gram_distance_to_etf_raw(means.T @ means, cfg.k, alpha)
-    explicit_cosine = _mean_class_cosine(traces["explicit"])
+    dist = {name: gram_distance_to_etf_raw(means.T @ means, cfg.k, alpha)
+            for name, (means, _) in finals.items()}
+    explicit_cosine = _mean_class_cosine(*finals["explicit"])
     if explicit_cosine == 0.0:
         cos_ratio = None
         note = "explicit head's mean class cosine is 0: nc3_cosine_ratio undefined"
     else:
-        cos_ratio = _mean_class_cosine(traces["deq"]) / explicit_cosine
+        cos_ratio = _mean_class_cosine(*finals["deq"]) / explicit_cosine
         note = None
     merged = dataclasses.replace(
         conditions,
@@ -531,7 +519,9 @@ def _train_head(cfg: ExperimentConfig, features: FeatureSet, h0_sha: str,
     """Train one head from the shared initialization and write its
     artifacts (trace.csv, gram_class_means.csv, state_<head>.npz).
 
-    Returns (trace, summary). Module-level so that a head worker resolves it
+    Returns (summary, class_means, classifier_w): the head's HeadSummary, and
+    the D x K class means of its final features and its K x D classifier,
+    which compare_heads reads. Module-level so that a head worker resolves it
     by reference.
     """
     run_dir = out / head_name if cfg.head == "both" else out
@@ -544,7 +534,8 @@ def _train_head(cfg: ExperimentConfig, features: FeatureSet, h0_sha: str,
     trace_path = run_dir / "trace.csv"
     write_trace_csv(trace, cfg.k, trace_path)
     h_final = lpm.head_features(trace.head, trace.features.h0)
-    export_class_mean_gram(h_final, trace.features.labels, run_dir)
+    means = class_means(h_final, trace.features.labels, cfg.k)
+    _write_gram_csv(run_dir / "gram_class_means.csv", means.T @ means)
     np.savez(
         run_dir / f"state_{head_name}.npz",
         h=h_final,
@@ -553,7 +544,7 @@ def _train_head(cfg: ExperimentConfig, features: FeatureSet, h0_sha: str,
         w=trace.classifier.w,
         head_w=trace.head.weight,
     )
-    return trace, _head_summary(head_name, trace, trace_path, consumed_sha)
+    return _head_summary(head_name, trace, trace_path, consumed_sha), means, trace.classifier.w
 
 
 def _map_heads(train_head, head_names: tuple):
@@ -609,20 +600,20 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, quiet: bool = True) -> R
     train_head = functools.partial(
         _train_head, cfg, features, h0_sha, cls_init, head_inits, out
     )
-    traces, summaries = {}, {}
-    for head_name, (trace, summary) in zip(head_names, _map_heads(train_head, head_names)):
-        traces[head_name], summaries[head_name] = trace, summary
+    finals, summaries = {}, {}
+    for head_name, (summary, means, w) in zip(head_names, _map_heads(train_head, head_names)):
+        summaries[head_name], finals[head_name] = summary, (means, w)
         if not quiet:
-            final = trace.final
+            final = summary.final_report
             print(
-                f"[{cfg.name}/{head_name}] step {final.step}: loss {final.loss:.6f} "
-                f"acc {final.accuracy:.4f} nc1 {final.report.nc1:.4g} "
-                f"nc2 {final.report.nc2:.4g} nc3 {final.report.nc3:.4g}"
+                f"[{cfg.name}/{head_name}] step {cfg.train.steps}: loss {final['loss']:.6f} "
+                f"acc {final['accuracy']:.4f} nc1 {final['nc1']:.4g} "
+                f"nc2 {final['nc2']:.4g} nc3 {final['nc3']:.4g}"
             )
 
     condition_report, condition_note = None, None
     if cfg.head == "both" and cfg.imbalance is not None:
-        condition_report, condition_note = compare_heads(cfg, features, traces)
+        condition_report, condition_note = compare_heads(cfg, features, finals)
 
     record = RunRecord(
         config_hash=cfg.config_hash(),
@@ -658,9 +649,7 @@ def reexport_grams(run_dir) -> list:
 
 def _sweep_worker(args):
     path, preset, out_root, seed_override = args
-    cfg = load_config(path, preset=preset)
-    if seed_override is not None:
-        cfg = replace(cfg, train=replace(cfg.train, seed=seed_override))
+    cfg = with_seed(load_config(path, preset=preset), seed_override)
     out_dir = Path(out_root) / cfg.name if out_root else None
     record = run_experiment(cfg, out_dir=out_dir)
     return cfg.config_hash(), record.as_dict()

@@ -137,6 +137,14 @@ def check_conditioning(a: np.ndarray) -> None:
         )
 
 
+def random_orthonormal(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
+    """A rows x cols matrix with orthonormal columns (rows >= cols): the Q
+    factor of a seeded Gaussian with column signs fixed by the R diagonal,
+    which makes the draw Haar-distributed and reproducible under a seed."""
+    q, r = np.linalg.qr(rng.standard_normal((rows, cols)))
+    return q * np.where(np.diag(r) >= 0.0, 1.0, -1.0)
+
+
 def make_rng(seed: int) -> np.random.Generator:
     """Seeded PCG64 generator: identical seed, identical draw sequence.
 

@@ -48,7 +48,8 @@ import numpy as np
 from . import deq, linalg
 from .deq import DeqWeights, SolverPolicy, fixed_point_iterate
 from .errors import TrainingDivergedError
-from .linalg import DEFAULT_PINV_CUTOFF, as_matrix, check_conditioning, solve_linear
+from .linalg import DEFAULT_PINV_CUTOFF, as_matrix, check_conditioning
+from .linalg import solve_linear  # noqa: F401  (lpm.solve_linear: wrapped by perfbench/tracer.py)
 from .metrics import ClassPartition, NcReport, NcReporter
 from .metrics import nc_report  # noqa: F401  (lpm.nc_report: wrapped by perfbench/tracer.py)
 
@@ -119,9 +120,6 @@ class ClassifierWeights:
             raise ValueError(f"e_w must be positive, got {self.e_w}")
         object.__setattr__(self, "w", w)
 
-    def mean_square(self) -> float:
-        return classifier_mean_square(self.w)
-
 
 class HeadModel:
     """The interface both heads share:
@@ -130,8 +128,8 @@ class HeadModel:
       with_weight(w, e_h)  the same head with another weight and budget
       apply(h0)            the head output for backbone features h0
       preimage_operator()  the map z -> H0 with apply(H0) = z, constants built once
-      backward(upstream, h0, h)
-                           (grad_head, grad_h0) of <upstream, h> at h = apply(h0)
+      backward(upstream, h0)
+                           (grad_head, grad_h0) of <upstream, apply(h0)>
       diagnostic(z, h0, preimage)
                            a snapshot's (solver iterations, skip count); h0 is
                            z's preimage, or None to take preimage(z)
@@ -184,7 +182,7 @@ class ExplicitHead(HeadModel):
             f"explicit head maps {d0} -> {d} dims; d0 >= d is required for an exact preimage"
         )
 
-    def backward(self, upstream, h0, h) -> tuple:
+    def backward(self, upstream, h0) -> tuple:
         return upstream @ h0.T, self.w_ex.T @ upstream
 
     def diagnostic(self, z, h0, preimage) -> tuple:
@@ -219,9 +217,8 @@ class DeqHead(HeadModel):
         link = np.eye(self.d) - self.weights.w
         return lambda z: link @ z
 
-    def backward(self, upstream, h0, h) -> tuple:
-        grad_h0 = solve_linear((np.eye(self.d) - self.weights.w).T, upstream)
-        return grad_h0 @ h.T, grad_h0
+    def backward(self, upstream, h0) -> tuple:
+        return deq.head_gradient(self.weights, h0, upstream)
 
     def diagnostic(self, z, h0, preimage) -> tuple:
         """Picard iteration under the head's policy, which raises when it does
@@ -267,13 +264,18 @@ class TrainConfig:
             raise ValueError("log_every must be at least 1")
         if not (0.0 <= self.momentum < 1.0):
             raise ValueError("momentum must lie in [0, 1)")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        if not (0.0 < self.metric_cutoff < 1.0):
+            raise ValueError(f"metric_cutoff must lie in (0, 1), got {self.metric_cutoff}")
 
 
 @dataclass(frozen=True)
 class TraceSnapshot:
+    """One snapshot: its step, its NC report (which holds the state's loss
+    and accuracy) and the head's solver diagnostic."""
+
     step: int
-    loss: float
-    accuracy: float
     report: NcReport
     solver_mean_iters: float = 0.0
     solver_skip_count: int = 0
@@ -492,7 +494,7 @@ def loss_and_grads(features: FeatureSet, head: HeadModel, cls: ClassifierWeights
     picks = _true_class_index(features.labels, n)
     per_sample, exp, denom = _softmax_terms(logits, picks)
     grad_w, upstream = _logit_grads(exp, denom, picks, n, w, h)
-    grad_head, grad_h0 = head.backward(upstream, h0, h)
+    grad_head, grad_h0 = head.backward(upstream, h0)
     loss = float(np.add.reduce(per_sample) / n)
     return loss, {"w": grad_w, "head": grad_head, "h0": grad_h0}, logits, h
 
@@ -553,16 +555,9 @@ class _SnapshotBuffer:
         steps, zs, ws, logits, losses, h0s = zip(*self.pending)
         self.pending = []
         reports = self.reporter.reports(np.stack(zs), np.stack(ws), np.stack(logits), losses)
-        for step, z, h0, loss, report in zip(steps, zs, h0s, losses, reports):
+        for step, z, h0, report in zip(steps, zs, h0s, reports):
             mean_iters, skip_count = self.head.diagnostic(z, h0, self.preimage)
-            self.snapshots.append(TraceSnapshot(
-                step=step,
-                loss=loss,
-                accuracy=report.accuracy,
-                report=report,
-                solver_mean_iters=mean_iters,
-                solver_skip_count=skip_count,
-            ))
+            self.snapshots.append(TraceSnapshot(step, report, mean_iters, skip_count))
 
 
 def train(
@@ -700,10 +695,7 @@ def initialize_explicit_head(d, d0, e_h, rng) -> ExplicitHead:
     """
     if d0 < d:
         raise ValueError(f"explicit head needs d0 >= d, got d0={d0}, d={d}")
-    g = rng.standard_normal((d0, d))
-    q, r = np.linalg.qr(g)
-    q = q * np.where(np.diag(r) >= 0.0, 1.0, -1.0)
-    w = (e_h / math.sqrt(d)) * q.T
+    w = (e_h / math.sqrt(d)) * linalg.random_orthonormal(d0, d, rng).T
     return ExplicitHead(w_ex=w, e_h=e_h)
 
 

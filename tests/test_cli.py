@@ -107,17 +107,22 @@ class TestChecks:
         ["lemma-fuzz", "--draws", "0"],
         ["lemma-fuzz", "--draws", "-5"],
         ["sweep", "{dir}", "--workers", "0"],
+        ["run", "{dir}/one.cfg", "--seed", "-1"],
+        ["lemma-fuzz", "--seed", "-1"],
+        ["sweep", "{dir}", "--write-grid", "--seed", "-1"],
     ], ids=["bound-k1", "bound-ew-negative", "bound-ratio-0", "etf-k1", "etf-d-below-k",
-            "fuzz-draws-0", "fuzz-draws-negative", "sweep-workers-0"])
+            "fuzz-draws-0", "fuzz-draws-negative", "sweep-workers-0", "run-seed-negative",
+            "fuzz-seed-negative", "sweep-grid-seed-negative"])
     def test_bad_values_exit_2(self, tmp_path, capsys, argv):
         _write(tmp_path, "one.cfg", _cfg_lines())
         out = tmp_path / "runs"
         argv = [arg.format(dir=tmp_path) for arg in argv]
-        assert main(argv + (["--out", str(out)] if argv[0] == "sweep" else [])) == 2
+        assert main(argv + (["--out", str(out)] if argv[0] in ("run", "sweep") else [])) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1
         assert "PASS" not in captured.out
         assert not out.exists()
+        assert [p.name for p in tmp_path.iterdir()] == ["one.cfg"]
 
     def test_lemma_fuzz(self, capsys):
         assert main(["lemma-fuzz", "--draws", "500", "--seed", "1"]) == 0

@@ -18,11 +18,14 @@ from collapsekit.harness import (
     run_experiment,
     run_sweep,
     synthesize_dataset,
+    with_seed,
     write_imbalance_grid,
     write_trace_csv,
 )
+from collapsekit.etf import gram_distance_to_etf_raw
 from collapsekit.linalg import make_rng
 from collapsekit.lpm import ExplicitHead
+from collapsekit.metrics import class_means
 
 TINY = {
     "head": "explicit", "k": 3, "d0": 6, "d": 6, "balanced_n": 4,
@@ -104,6 +107,36 @@ class TestConfigParsing:
         assert paper.train.e_w == 0.01
         with pytest.raises(ConfigError, match="preset"):
             config_from_dict(dict(TINY), preset="warp")
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"seed": -1}, "seed must be non-negative"),
+        ({"e_w": float("nan")}, "e_w must be finite"),
+        ({"e_h": float("inf")}, "e_h must be finite"),
+        ({"e_h": 1e400}, "e_h must be finite"),
+        ({"feature_budget": float("inf")}, "feature_budget must be finite"),
+        ({"metric_cutoff": 2.0}, "metric_cutoff must lie in"),
+        ({"metric_cutoff": 0.0}, "metric_cutoff must lie in"),
+        ({"metric_cutoff": float("nan")}, "metric_cutoff must be finite"),
+        ({"learning_rate": float("nan")}, "learning_rate must be finite"),
+        ({"learning_rate": float("inf")}, "learning_rate must be finite"),
+        ({"epsilon": float("nan")}, "epsilon must be finite"),
+        # an imbalanced layout in place of TINY's balanced_n
+        ({"balanced_n": None, "k_a": 0, "k_b": 3, "n_a": 10, "r": 5}, "majority"),
+        ({"balanced_n": None, "k_a": 2, "k_b": 1, "n_a": 10, "r": 1}, "n_a > n_b"),
+    ])
+    def test_bad_values(self, overrides, message):
+        raw = {k: v for k, v in dict(TINY, **overrides).items() if v is not None}
+        with pytest.raises(ConfigError, match=message):
+            config_from_dict(raw)
+
+    def test_seed_override(self):
+        cfg = config_from_dict(dict(TINY))
+        assert with_seed(cfg, None) is cfg
+        reseeded = with_seed(cfg, 5)
+        assert reseeded.train.seed == 5
+        assert reseeded.config_hash() == config_from_dict(dict(TINY, seed=5)).config_hash()
+        with pytest.raises(ConfigError, match="seed must be non-negative"):
+            with_seed(cfg, -1)
 
 
 class TestConfigHash:
@@ -253,11 +286,33 @@ class TestRunExperiment:
         assert record.condition_report["nc2_distance_explicit"] > 0
         assert record.condition_report["nc3_cosine_ratio"] > 0
 
-    def test_zero_explicit_cosine_leaves_ratio_undefined(self, tmp_path, monkeypatch):
-        def cosine(trace):
-            return 0.0 if isinstance(trace.head, ExplicitHead) else 0.5
+    def test_comparison_matches_saved_artifacts_exactly(self, tmp_path):
+        cfg = config_from_dict(dict(BOTH_IMBALANCED))
+        record = run_experiment(cfg, out_dir=tmp_path)
+        report = record.condition_report
+        cosines = {}
+        for head in ("explicit", "deq"):
+            with np.load(tmp_path / head / f"state_{head}.npz") as state:
+                means = class_means(state["h"], state["labels"], cfg.k)
+                w = state["w"]
+            with (tmp_path / head / "gram_class_means.csv").open(newline="") as fh:
+                gram = np.array([[float(x) for x in row] for row in list(csv.reader(fh))[1:]])
+            assert np.array_equal(gram, means.T @ means)
+            alpha = np.sqrt(cfg.train.feature_budget)
+            assert report[f"nc2_distance_{head}"] == gram_distance_to_etf_raw(
+                means.T @ means, cfg.k, alpha
+            )
+            cosines[head] = float(np.mean([
+                float(means[:, c] @ w[c] / (np.linalg.norm(means[:, c]) * np.linalg.norm(w[c])))
+                for c in range(cfg.k)
+            ]))
+        assert report["nc3_cosine_ratio"] == cosines["deq"] / cosines["explicit"]
 
-        monkeypatch.setattr("collapsekit.harness._mean_class_cosine", cosine)
+    def test_zero_explicit_cosine_leaves_ratio_undefined(self, tmp_path, monkeypatch):
+        # compare_heads takes the explicit head's cosine first
+        cosines = iter([0.0, 0.5])
+        monkeypatch.setattr("collapsekit.harness._mean_class_cosine",
+                            lambda means, w: next(cosines))
         cfg = config_from_dict({
             "head": "both", "k": 4, "d0": 6, "d": 6,
             "k_a": 2, "k_b": 2, "n_a": 10, "r": 5,

@@ -325,15 +325,15 @@ class TestTrain:
         trace, _ = self._run(steps=1, learning_rate=0.0)
         assert len(trace.snapshots) == 2
         first, last = trace.snapshots
-        assert first.loss == last.loss
+        assert first.report.loss == last.report.loss
         assert first.report.nc2 == last.report.nc2
         assert trace.loss_history.shape == (1,)
-        assert trace.loss_history[0] == first.loss
+        assert trace.loss_history[0] == first.report.loss
 
     def test_loss_decreases(self):
         trace, _ = self._run(steps=600)
         assert trace.loss_history[-1] < trace.loss_history[0]
-        assert trace.final.accuracy == 1.0
+        assert trace.final.report.accuracy == 1.0
 
     def test_windowed_monotonicity(self):
         trace, _ = self._run(steps=1000)
@@ -429,7 +429,7 @@ class TestTrain:
             z = head_features(trace.head, trace.features.h0)
             logits = trace.classifier.w @ z
             assert cross_entropy(logits, trace.features.labels) == pytest.approx(
-                trace.final.loss, abs=1e-9
+                trace.final.report.loss, abs=1e-9
             )
 
     def test_deq_snapshots_carry_solver_stats(self):
@@ -509,7 +509,7 @@ class TestSnapshotParity:
             result = fixed_point_iterate(trace.head.weights, h0, policy)
             iters = float(result.iterations)
             skips = int(np.count_nonzero(result.column_residuals > policy.epsilon))
-        return TraceSnapshot(step, loss, report.accuracy, report, iters, skips)
+        return TraceSnapshot(step, report, iters, skips)
 
     def _assert_parity(self, trace, states, labels, cfg):
         for snap, state in zip(trace.snapshots, states, strict=True):
@@ -582,10 +582,9 @@ class TestSnapshotParity:
         # the last one has the non-finite loss of its state, and the rest of
         # its record as before
         last = snapshots[-1]
-        assert math.isnan(last.loss) and math.isnan(last.report.loss)
+        assert math.isnan(last.report.loss)
         expected = full.snapshots[5]
-        assert replace(last, loss=expected.loss, report=replace(
-            last.report, loss=expected.report.loss)) == expected
+        assert replace(last, report=replace(last.report, loss=expected.report.loss)) == expected
 
 
 class TestShrinkToBall:

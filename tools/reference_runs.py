@@ -2,7 +2,8 @@
 
     python tools/reference_runs.py OUT
 
-Each entry of RUNS becomes OUT/configs/<name>.cfg and runs into OUT/<name>;
+Each entry of RUNS becomes OUT/configs/<name>.cfg and runs into OUT/<name>,
+and `export-gram` then writes the sample Grams of the runs in EXPORT_GRAM;
 then `sweep --write-grid --seed 6` writes the nine imbalance-grid configs to
 OUT/grid-configs and runs them into OUT/grid. Every command runs with
 OPENBLAS_NUM_THREADS=1, so its outputs are reproducible bit for bit, and
@@ -55,6 +56,10 @@ RUNS = {
     ),
 }
 
+# runs whose sample Grams `export-gram` writes; wide-imbalance's 1535 x 1535
+# CSV would take most of the tool's time
+EXPORT_GRAM = ("criterion-08", "balanced-deq", "explicit-wide")
+
 GRID_SEED = 6
 
 
@@ -74,7 +79,7 @@ def write_configs(config_dir) -> list:
 def _collapsekit(*args, cwd: Path) -> int:
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
-    command = [sys.executable, "-m", "collapsekit", *map(str, args), "--quiet"]
+    command = [sys.executable, "-m", "collapsekit", *map(str, args)]
     print(" ".join(command[1:]), flush=True)
     return subprocess.run(command, cwd=cwd, env=env).returncode
 
@@ -85,11 +90,15 @@ def main(argv=None) -> int:
     out = parser.parse_args(argv).out.resolve()
     out.mkdir(parents=True, exist_ok=True)
     for path in write_configs(out / "configs"):
-        code = _collapsekit("run", path, "--out", out / path.stem, cwd=out)
+        code = _collapsekit("run", path, "--out", out / path.stem, "--quiet", cwd=out)
+        if code:
+            return code
+    for name in EXPORT_GRAM:
+        code = _collapsekit("export-gram", out / name, cwd=out)
         if code:
             return code
     return _collapsekit("sweep", out / "grid-configs", "--write-grid", "--seed", GRID_SEED,
-                        "--out", out / "grid", cwd=out)
+                        "--out", out / "grid", "--quiet", cwd=out)
 
 
 if __name__ == "__main__":
