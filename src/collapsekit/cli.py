@@ -147,7 +147,8 @@ def _cmd_etf_check(args) -> int:
     print(f"P^T P residual:      {p_residual:.3e}")
     print(f"Gram residual:       {gram_residual:.3e}")
     print(f"column-sum residual: {colsum_residual:.3e}")
-    ok = max(p_residual, gram_residual, colsum_residual) < 1e-10
+    # a NaN residual is not below tolerance, so it fails the check too
+    ok = all(r < 1e-10 for r in (p_residual, gram_residual, colsum_residual))
     print("PASS" if ok else "FAIL")
     return 0 if ok else 1
 

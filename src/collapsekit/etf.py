@@ -62,8 +62,8 @@ def make_etf(k: int, d: int, alpha: float, rng: np.random.Generator) -> EtfFrame
         raise ValueError(f"need at least two classes, got k={k}")
     if d < k:
         raise ValueError(f"frame dimension d={d} must be at least k={k}")
-    if alpha == 0.0:
-        raise ValueError("alpha must be non-zero")
+    if alpha == 0.0 or not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite and non-zero, got {alpha}")
     q = random_orthonormal(d, k, rng)
     s = alpha * math.sqrt(k / (k - 1)) * (q @ centering_matrix(k))
     return EtfFrame(s=s, alpha=float(alpha), p=q, k=k, d=d)

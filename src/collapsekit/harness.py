@@ -45,6 +45,7 @@ import json
 import math
 import os
 import time
+import zipfile
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
@@ -63,49 +64,30 @@ from .metrics import class_means
 HEAD_CHOICES = ("explicit", "deq", "both")
 
 PRESETS = {
-    # desk-scale defaults: budgets large enough for softmax separation in a
-    # few thousand full-batch steps
-    "desk": {"learning_rate": 0.05, "e_w": 1.0, "e_h": 1.0, "feature_budget": 1.0},
+    # desk scale: the TrainConfig defaults, budgets large enough for softmax
+    # separation in a few thousand full-batch steps
+    "desk": {},
     # reference training recipe: tiny norm budgets, small learning rate
     "paper": {"learning_rate": 1e-4, "e_w": 0.01, "e_h": 0.01, "feature_budget": 0.01},
 }
 
-# key -> python type for the flat config format
-_SCHEMA = {
-    "name": str,
-    "head": str,
-    "k": int,
-    "d0": int,
-    "d": int,
-    "balanced_n": int,
-    "k_a": int,
-    "k_b": int,
-    "n_a": int,
-    "r": int,
-    "learning_rate": float,
-    "momentum": float,
-    "steps": int,
-    "e_w": float,
-    "e_h": float,
-    "feature_budget": float,
-    "seed": int,
-    "log_every": int,
-    "epsilon": float,
-    "t_max": int,
-    "on_failure": str,
-    "metric_cutoff": float,
-    "output_dir": str,
-}
 
-_DEFAULTS = {
-    "momentum": 0.9,
-    "steps": 1000,
-    "seed": 0,
-    "log_every": 100,
-    "epsilon": 1e-3,
-    "t_max": 20,
-    "on_failure": "skip",
-    "metric_cutoff": 1e-10,
+def _settings_keys(cls) -> dict:
+    """The config keys of a settings dataclass: field name -> type of its
+    default. minority_classes follows from the layout and is not a key."""
+    return {f.name: type(f.default) for f in dataclasses.fields(cls)
+            if f.name != "minority_classes"}
+
+
+_TRAIN_KEYS = _settings_keys(TrainConfig)
+_SOLVER_KEYS = _settings_keys(SolverPolicy)
+
+# key -> python type for the flat config format; the layout and head keys
+# are spelled out, the training and solver keys derived
+_SCHEMA = {
+    "name": str, "head": str, "k": int, "d0": int, "d": int, "balanced_n": int,
+    "k_a": int, "k_b": int, "n_a": int, "r": int, "output_dir": str,
+    **_TRAIN_KEYS, **_SOLVER_KEYS,
 }
 
 
@@ -161,34 +143,13 @@ class ExperimentConfig:
     def canonical_dict(self) -> dict:
         """Flat primitive view used for hashing. output_dir is excluded: it
         names where artifacts go, not what the experiment is."""
-        out = {
-            "name": self.name,
-            "head": self.head,
-            "k": self.k,
-            "d0": self.d0,
-            "d": self.d,
-            "learning_rate": self.train.learning_rate,
-            "momentum": self.train.momentum,
-            "steps": self.train.steps,
-            "e_w": self.train.e_w,
-            "e_h": self.train.e_h,
-            "feature_budget": self.train.feature_budget,
-            "seed": self.train.seed,
-            "log_every": self.train.log_every,
-            "epsilon": self.solver.epsilon,
-            "t_max": self.solver.t_max,
-            "on_failure": self.solver.on_failure,
-            "metric_cutoff": self.train.metric_cutoff,
-        }
+        out = {"name": self.name, "head": self.head, "k": self.k, "d0": self.d0, "d": self.d}
+        out.update((key, getattr(self.train, key)) for key in _TRAIN_KEYS)
+        out.update((key, getattr(self.solver, key)) for key in _SOLVER_KEYS)
         if self.balanced_n is not None:
             out["balanced_n"] = self.balanced_n
         else:
-            out.update(
-                k_a=self.imbalance.k_a,
-                k_b=self.imbalance.k_b,
-                n_a=self.imbalance.n_a,
-                n_b=self.imbalance.n_b,
-            )
+            out.update((key, getattr(self.imbalance, key)) for key in ("k_a", "k_b", "n_a", "n_b"))
         return out
 
     def canonical_string(self) -> str:
@@ -205,9 +166,10 @@ class ExperimentConfig:
 def config_from_dict(raw: dict, preset: str = "desk", name: str = "experiment") -> ExperimentConfig:
     """Build a config from a flat dict of primitive values.
 
-    Preset values fill budget/learning-rate keys the dict omits; _DEFAULTS
-    covers the rest. d defaults to d0 (and vice versa) so the zero-weight
-    equilibrium head and the identity explicit head coincide.
+    A training or solver key the dict omits takes its preset value, else
+    its TrainConfig or SolverPolicy default. d defaults to d0 (and vice
+    versa) so the zero-weight equilibrium head and the identity explicit
+    head coincide.
     """
     if preset not in PRESETS:
         raise ConfigError(f"unknown preset {preset!r}; choose from {sorted(PRESETS)}")
@@ -215,9 +177,7 @@ def config_from_dict(raw: dict, preset: str = "desk", name: str = "experiment") 
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
-    values = dict(_DEFAULTS)
-    values.update(PRESETS[preset])
-    values.update(raw)
+    values = {**PRESETS[preset], **raw}
     for key, value in values.items():
         if _SCHEMA[key] is float and not math.isfinite(value):
             raise ConfigError(f"{key} must be finite, got {value!r}")
@@ -253,22 +213,10 @@ def config_from_dict(raw: dict, preset: str = "desk", name: str = "experiment") 
                 k_a=values["k_a"], k_b=values["k_b"], n_a=n_a, n_b=n_a // ratio
             )
         train = TrainConfig(
-            learning_rate=values["learning_rate"],
-            steps=values["steps"],
-            e_w=values["e_w"],
-            e_h=values["e_h"],
-            feature_budget=values["feature_budget"],
-            seed=values["seed"],
-            log_every=values["log_every"],
-            momentum=values["momentum"],
-            metric_cutoff=values["metric_cutoff"],
+            **{key: values[key] for key in _TRAIN_KEYS if key in values},
             minority_classes=imbalance.minority_classes if imbalance else None,
         )
-        solver = SolverPolicy(
-            epsilon=values["epsilon"],
-            t_max=values["t_max"],
-            on_failure=values["on_failure"],
-        )
+        solver = SolverPolicy(**{key: values[key] for key in _SOLVER_KEYS if key in values})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -306,8 +254,12 @@ def load_config(path, preset: str = "desk") -> ExperimentConfig:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not valid UTF-8 ({exc.reason} at byte {exc.start})") from exc
     raw = {}
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         text = line.split("#", 1)[0].strip()
         if not text:
             continue
@@ -631,15 +583,20 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, quiet: bool = True) -> R
 
 def reexport_grams(run_dir) -> list:
     """Write the sample and class-mean Gram CSVs of a finished run from its
-    state_*.npz files (one pair per head directory)."""
+    state_*.npz files (one pair per head directory). A state file that is
+    truncated or lacks an array is a ConfigError naming it."""
     run_dir = Path(run_dir)
     states = sorted(run_dir.rglob("state_*.npz"))
     if not states:
         raise ConfigError(f"no state_*.npz found under {run_dir}")
     written = []
     for state_path in states:
-        with np.load(state_path) as state:
-            written.extend(export_gram(state["h"], state["labels"], state_path.parent))
+        try:  # np.load leaks a path it opened itself when the zip is bad
+            with state_path.open("rb") as fh, np.load(fh) as state:
+                h, labels = state["h"], state["labels"]
+        except (zipfile.BadZipFile, KeyError, ValueError, EOFError) as exc:
+            raise ConfigError(f"cannot read {state_path}: {exc}") from exc
+        written.extend(export_gram(h, labels, state_path.parent))
     return written
 
 

@@ -237,9 +237,10 @@ class TrainConfig:
     e_h budgets the head weight; feature_budget budgets the post-head
     features (the two coincide in the reference formulation but are kept
     separate so the equilibrium head can run with a tighter contraction).
-    The "paper" preset in the harness sets e_w = e_h = 0.01 and
-    learning_rate = 1e-4; the desk-scale defaults below keep softmax logits
-    large enough to separate in a few thousand steps.
+    The field defaults below are the config-file defaults (the harness's
+    "desk" preset): they keep softmax logits large enough to separate in a
+    few thousand steps. The "paper" preset sets e_w = e_h = 0.01,
+    feature_budget = 0.01 and learning_rate = 1e-4.
     """
 
     learning_rate: float = 0.05

@@ -104,6 +104,8 @@ class TestChecks:
         ["bound-check", "--k", "4", "--ew", "1", "--eh", "1", "--ratio", "0"],
         ["etf-check", "--k", "1", "--d", "4"],
         ["etf-check", "--k", "4", "--d", "2"],
+        ["etf-check", "--k", "4", "--d", "6", "--alpha", "nan"],
+        ["etf-check", "--k", "4", "--d", "6", "--alpha", "inf"],
         ["lemma-fuzz", "--draws", "0"],
         ["lemma-fuzz", "--draws", "-5"],
         ["sweep", "{dir}", "--workers", "0"],
@@ -111,6 +113,7 @@ class TestChecks:
         ["lemma-fuzz", "--seed", "-1"],
         ["sweep", "{dir}", "--write-grid", "--seed", "-1"],
     ], ids=["bound-k1", "bound-ew-negative", "bound-ratio-0", "etf-k1", "etf-d-below-k",
+            "etf-alpha-nan", "etf-alpha-inf",
             "fuzz-draws-0", "fuzz-draws-negative", "sweep-workers-0", "run-seed-negative",
             "fuzz-seed-negative", "sweep-grid-seed-negative"])
     def test_bad_values_exit_2(self, tmp_path, capsys, argv):
@@ -152,6 +155,32 @@ class TestExportGram:
     def test_missing_state_exit_2(self, tmp_path, capsys):
         assert main(["export-gram", str(tmp_path)]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @staticmethod
+    def _damage_state(state, how):
+        if how == "truncated":
+            state.write_bytes(state.read_bytes()[:-30])
+        else:  # a state without its h array
+            with np.load(state) as saved:
+                arrays = {key: saved[key] for key in saved.files if key != "h"}
+            np.savez(state, **arrays)
+
+    @pytest.mark.parametrize("how", ["truncated", "missing-array"])
+    def test_bad_state_exit_2(self, tmp_path, capsys, how):
+        cfg = _write(tmp_path, "demo.cfg", _cfg_lines())
+        out = tmp_path / "out"
+        main(["run", str(cfg), "--out", str(out), "--quiet"])
+        self._damage_state(out / "state_explicit.npz", how)
+        assert main(["export-gram", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "state_explicit.npz" in err
+        assert not (out / "gram_samples.csv").exists()
+
+    def test_unreadable_state_exit_5(self, tmp_path, capsys):
+        # a directory named like a state file: np.load raises an OSError
+        (tmp_path / "state_explicit.npz").mkdir()
+        assert main(["export-gram", str(tmp_path)]) == 5
+        assert "artifact error" in capsys.readouterr().err
 
 
 class TestSweepCommand:

@@ -32,6 +32,8 @@ TINY = {
     "steps": 30, "log_every": 10, "seed": 1,
 }
 
+IMBALANCED = {"head": "both", "k": 10, "k_a": 3, "k_b": 7, "n_a": 100, "r": 10}
+
 
 def _write_config(tmp_path, lines, name="exp.cfg"):
     path = tmp_path / name
@@ -70,6 +72,16 @@ class TestConfigParsing:
         path = _write_config(tmp_path, ["head = explicit", "k = many", "balanced_n = 2"])
         with pytest.raises(ConfigError, match="cannot parse"):
             load_config(path)
+
+    def test_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "latin.cfg"
+        path.write_bytes(b"name = caf\xe9\nhead = explicit\nk = 3\nbalanced_n = 2\n")
+        with pytest.raises(ConfigError, match="latin.cfg: not valid UTF-8"):
+            load_config(path)
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not out.exists()
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
@@ -155,6 +167,18 @@ class TestConfigHash:
         changed["seed"] = 2
         b = config_from_dict(changed)
         assert a.config_hash() != b.config_hash()
+
+    # computed before the training and solver keys were derived from
+    # TrainConfig and SolverPolicy; a schema edit that changes any of these
+    # re-keys every sweep_summary.json
+    @pytest.mark.parametrize("raw, preset, expected", [
+        (TINY, "desk", "843d22f653d566b3038472557f8f57800e281419d8291559f04196013ca02dcc"),
+        (TINY, "paper", "e64a35d9bd9d4e5cbfafef32b549b42eb89a5ba7f00a478037026cd92b05e03e"),
+        (IMBALANCED, "desk", "5db9c46680ed5a38d8cd04d9cf9b3716486ec475459cfb69450cfcc6749261e3"),
+        (IMBALANCED, "paper", "5511d8b13d55183bc5229e6a81dc05cf70de527a12b7448088396fa534b716d8"),
+    ], ids=["balanced-desk", "balanced-paper", "imbalanced-desk", "imbalanced-paper"])
+    def test_pinned_hashes(self, raw, preset, expected):
+        assert config_from_dict(dict(raw), preset=preset).config_hash() == expected
 
     def test_output_dir_excluded(self):
         a = config_from_dict(dict(TINY, output_dir="runs/a"))

@@ -13,7 +13,7 @@ def test_every_config_loads(tmp_path):
     paths = reference_runs.write_configs(tmp_path)
     assert [p.stem for p in paths] == list(reference_runs.RUNS)
     for path in paths:
-        cfg = load_config(path)
+        cfg = load_config(path, preset=reference_runs.preset(path.stem))
         assert cfg.name == path.stem
         keys = dict(reference_runs.RUNS[path.stem])
         keys.pop("r", None)  # the config hashes n_b = n_a / r

@@ -2,9 +2,9 @@
 
     python tools/reference_runs.py OUT
 
-Each entry of RUNS becomes OUT/configs/<name>.cfg and runs into OUT/<name>,
-and `export-gram` then writes the sample Grams of the runs in EXPORT_GRAM;
-then `sweep --write-grid --seed 6` writes the nine imbalance-grid configs to
+Each entry of RUNS becomes OUT/configs/<name>.cfg and runs into OUT/<name>
+under its preset (PRESETS, else desk), and `export-gram` then writes the
+sample Grams of the runs in EXPORT_GRAM; then `sweep --write-grid --seed 6` writes the nine imbalance-grid configs to
 OUT/grid-configs and runs them into OUT/grid. Every command runs with
 OPENBLAS_NUM_THREADS=1, so its outputs are reproducible bit for bit, and
 uses the collapsekit under src/ next to this tools/ directory. Run it at two
@@ -54,7 +54,13 @@ RUNS = {
         _DESK, head="explicit", k=5, d0=20, d=12, k_a=2, k_b=3, n_a=40, r=10,
         steps=1500, e_h=1.0, feature_budget=1.0, log_every=3, seed=0,
     ),
+    # the paper preset and every default: only the required keys are given
+    "paper-defaults": dict(head="both", k=4, k_a=2, k_b=2, n_a=20, r=4,
+                           steps=400, log_every=50),
 }
+
+# name -> --preset of the runs not under the desk preset
+PRESETS = {"paper-defaults": "paper"}
 
 # runs whose sample Grams `export-gram` writes; wide-imbalance's 1535 x 1535
 # CSV would take most of the tool's time
@@ -76,6 +82,11 @@ def write_configs(config_dir) -> list:
     return paths
 
 
+def preset(name: str) -> str:
+    """The --preset a RUNS entry runs under."""
+    return PRESETS.get(name, "desk")
+
+
 def _collapsekit(*args, cwd: Path) -> int:
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
@@ -90,7 +101,8 @@ def main(argv=None) -> int:
     out = parser.parse_args(argv).out.resolve()
     out.mkdir(parents=True, exist_ok=True)
     for path in write_configs(out / "configs"):
-        code = _collapsekit("run", path, "--out", out / path.stem, "--quiet", cwd=out)
+        code = _collapsekit("run", path, "--out", out / path.stem, "--quiet",
+                            "--preset", preset(path.stem), cwd=out)
         if code:
             return code
     for name in EXPORT_GRAM:
