@@ -51,7 +51,8 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="first write the standard imbalance grid configs into the directory",
     )
-    sweep.add_argument("--workers", type=int, default=None)
+    sweep.add_argument("--workers", type=int, default=None,
+                       help="head jobs run at once (default: the usable CPUs)")
     _common_flags(sweep)
 
     etf_check = sub.add_parser("etf-check", help="verify a constructed frame")

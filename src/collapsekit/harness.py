@@ -9,22 +9,25 @@ shared backbone-feature initialization, and persists:
     gram_class_means.csv  K x K Gram of final class means
     state_<head>.npz      final parameters, for re-exporting Grams
 
-A head's final post-head features are head(preimage(z)) of its last state;
-_train_head computes them and their class means once, writes the Gram and
-state from them, and returns the head's summary with its class means and
-classifier, which is all the cross-head comparison reads. The N x N sample
-Gram (gram_samples.csv, final post-head features, class-sorted) is written
-only on request, by `collapsekit export-gram` (reexport_grams), from the
-saved state.
+Every head of `run` and of `sweep` trains in a head job, _sweep_worker: it
+derives the run's initialization from the config, trains one head, writes
+that head's artifacts, and returns the head's summary with what the
+cross-head comparison reads (the class means of the initial and the final
+features, and the classifier). A head's final post-head features are
+head(preimage(z)) of its last state, computed once. _run_head_jobs runs a
+list of head jobs: in this process with one job or one worker, else in one
+forked pool, largest N x steps first, with this process training the
+largest job itself when every job has a worker. The outputs are the same
+either way at a fixed BLAS thread count. The N x N sample Gram
+(gram_samples.csv, final post-head features, class-sorted) is written only
+on request, by `collapsekit export-gram` (reexport_grams), from the saved
+state.
 
 With head = both, each head's artifacts land in an explicit/ or deq/
 subdirectory of the run directory and report.json at the top level carries
-the cross-head comparison. On two or more usable CPUs the two heads train
-concurrently, the deq head in a forked worker; inside a sweep worker they
-train one after the other. The outputs are the same either way at a fixed
-BLAS thread count. When one head fails, the run raises the first failure in
-head order (explicit, then deq) and writes no report.json; the other head's
-artifacts may already exist.
+the cross-head comparison. Both heads always train. When one fails, the run
+raises the first failure in head order (explicit, then deq) and writes no
+report.json; the other head's artifacts remain.
 
 Trace CSV schema (fixed column order, header mandatory):
     step,loss,accuracy,nc1,nc2,nc3,per_class_acc_0..K-1,solver_mean_iters,solver_skip_count
@@ -39,7 +42,6 @@ from __future__ import annotations
 import concurrent.futures
 import csv
 import dataclasses
-import functools
 import hashlib
 import json
 import math
@@ -425,21 +427,21 @@ def _mean_class_cosine(means: np.ndarray, w: np.ndarray) -> float:
     return float(np.mean(cosines))
 
 
-def compare_heads(cfg: ExperimentConfig, features_init: FeatureSet, finals: dict) -> tuple:
+def compare_heads(cfg: ExperimentConfig, means0: np.ndarray, finals: dict) -> tuple:
     """Cross-head comparison for an imbalanced both-heads run.
 
-    The scalar preconditions are evaluated on the shared backbone features
-    both heads started from (the backbone output is standardized across
-    models, so its class-mean Gram is the m matrix the conditions refer to).
-    The realized quantities they gate are measured on the trained states,
-    which finals maps, per head, to (final class means, classifier): raw
-    Gram distances of the class means to the budget-scaled ETF Gram, and
-    the ratio of mean feature/classifier cosines (deq over explicit).
+    The scalar preconditions are evaluated on means0, the D x K class means
+    of the backbone features both heads started from (the backbone output
+    is standardized across models, so their Gram is the m matrix the
+    conditions refer to). The realized quantities they gate are measured
+    on the trained states, which finals maps, per head, to (final class
+    means, classifier): raw Gram distances of the class means to the
+    budget-scaled ETF Gram, and the ratio of mean feature/classifier
+    cosines (deq over explicit).
     """
     if cfg.train.e_h >= 1.0:
         return None, "e_h >= 1: comparison conditions undefined (1/(1-e_h) diverges)"
     target = imbalance_etf_target(cfg.k, cfg.train.feature_budget)
-    means0 = class_means(features_init.h0, features_init.labels, cfg.k)
     conditions = comparison_conditions(
         cfg.train.e_w, cfg.train.e_h, means0.T @ means0, target
     )
@@ -466,114 +468,112 @@ def compare_heads(cfg: ExperimentConfig, features_init: FeatureSet, finals: dict
 # running experiments
 # ---------------------------------------------------------------------------
 
-def _train_head(cfg: ExperimentConfig, features: FeatureSet, h0_sha: str,
-                cls_init, head_inits: dict, out: Path, head_name: str) -> tuple:
-    """Train one head from the shared initialization and write its
-    artifacts (trace.csv, gram_class_means.csv, state_<head>.npz).
+def _head_jobs(cfg: ExperimentConfig, out: Path) -> list:
+    """One run's head jobs, (name, config, run directory, head), in head order."""
+    head_names = ("explicit", "deq") if cfg.head == "both" else (cfg.head,)
+    return [(cfg.name, cfg, out, head_name) for head_name in head_names]
 
-    Returns (summary, class_means, classifier_w): the head's HeadSummary, and
-    the D x K class means of its final features and its K x D classifier,
-    which compare_heads reads. Module-level so that a head worker resolves it
-    by reference.
+
+def _sweep_worker(job) -> tuple:
+    """Run one head job: train one head of one run and write its artifacts
+    (trace.csv, gram_class_means.csv, state_<head>.npz).
+
+    The run's initialization is drawn here from the config's seed, in a
+    fixed order (features, classifier, explicit head, deq head), so every
+    head of a run starts from the same draws. Returns (summary, class
+    means, classifier, initial class means, seconds): the HeadSummary, the
+    D x K class means of the final and of the initial features and the
+    K x D classifier (what compare_heads reads), and the job's wall time.
+    Module-level so that a pool worker resolves it by reference.
     """
+    t0 = time.perf_counter()
+    _, cfg, out, head_name = job
     run_dir = out / head_name if cfg.head == "both" else out
     run_dir.mkdir(parents=True, exist_ok=True)
-    consumed_sha = hashlib.sha256(np.ascontiguousarray(features.h0).tobytes()).hexdigest()
-    if consumed_sha != h0_sha:
-        raise AssertionError("shared H0 initialization was mutated between heads")
-    trace = lpm.train(features, head_inits[head_name], cls_init, cfg.train)
+    rng = make_rng(cfg.train.seed)
+    features = synthesize_dataset(cfg, rng)
+    h0_sha = hashlib.sha256(np.ascontiguousarray(features.h0).tobytes()).hexdigest()
+    means0 = class_means(features.h0, features.labels, cfg.k)
+    cls_init = lpm.initialize_classifier(cfg.k, cfg.d, cfg.train.e_w, rng)
+    head = lpm.initialize_explicit_head(cfg.d, cfg.d0, cfg.train.e_h, rng)
+    if head_name == "deq":
+        head = lpm.initialize_deq_head(cfg.d, cfg.train.e_h, rng, policy=cfg.solver)
+    trace = lpm.train(features, head, cls_init, cfg.train)
 
     trace_path = run_dir / "trace.csv"
     write_trace_csv(trace, cfg.k, trace_path)
     h_final = lpm.head_features(trace.head, trace.features.h0)
     means = class_means(h_final, trace.features.labels, cfg.k)
     _write_gram_csv(run_dir / "gram_class_means.csv", means.T @ means)
-    np.savez(
-        run_dir / f"state_{head_name}.npz",
-        h=h_final,
-        h0=trace.features.h0,
-        labels=trace.features.labels,
-        w=trace.classifier.w,
-        head_w=trace.head.weight,
-    )
-    return _head_summary(head_name, trace, trace_path, consumed_sha), means, trace.classifier.w
+    np.savez(run_dir / f"state_{head_name}.npz", h=h_final, h0=trace.features.h0,
+             labels=trace.features.labels, w=trace.classifier.w, head_w=trace.head.weight)
+    summary = _head_summary(head_name, trace, trace_path, h0_sha)
+    return summary, means, trace.classifier.w, means0, time.perf_counter() - t0
 
 
-def _map_heads(train_head, head_names: tuple):
-    """Yield train_head(name) for each name in head_names, in order.
+def _run_head_jobs(jobs: list, workers: int) -> list:
+    """Run _sweep_worker on every job; return each job's result, or the
+    exception it raised, in job order.
 
-    With several heads, more than one usable CPU, and a caller that is not
-    itself a pool worker (a sweep worker's siblings already fill the CPUs),
-    every head after the first trains in a forked one-worker pool while the
-    first trains here. Otherwise this is plain map. Either way a failure is
-    raised in head order: the first head's before any worker's, once the
-    worker is done.
+    With at most one job or one worker the jobs run here, in order.
+    Otherwise one pool takes them largest N x steps first, and when every
+    job has a worker this process trains the largest itself. The pool
+    always forks, so its workers inherit this process's state (a rebound
+    _sweep_worker too) rather than re-importing it.
     """
+    def attempt(job):
+        try:
+            return _sweep_worker(job)
+        except Exception as exc:  # returned; the caller raises it in head order
+            return exc
+
+    if len(jobs) <= 1 or workers == 1:
+        return [attempt(job) for job in jobs]
     import multiprocessing
 
-    if (len(head_names) > 1 and len(os.sched_getaffinity(0)) > 1
-            and multiprocessing.parent_process() is None):
-        context = multiprocessing.get_context("fork")
-        with concurrent.futures.ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
-            rest = [pool.submit(train_head, name) for name in head_names[1:]]
-            yield train_head(head_names[0])
-            for future in rest:
-                yield future.result()
-    else:
-        yield from map(train_head, head_names)
+    order = sorted(range(len(jobs)), reverse=True,
+                   key=lambda i: sum(jobs[i][1].class_counts) * jobs[i][1].train.steps)
+    here = order.pop(0) if workers >= len(jobs) else None
+    results, context = [None] * len(jobs), multiprocessing.get_context("fork")
+    with concurrent.futures.ProcessPoolExecutor(min(workers, len(order)),
+                                                mp_context=context) as pool:
+        futures = {i: pool.submit(_sweep_worker, jobs[i]) for i in order}
+        if here is not None:
+            results[here] = attempt(jobs[here])
+        for i, future in futures.items():
+            results[i] = future.exception() or future.result()
+    return results
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir=None, quiet: bool = True) -> RunRecord:
-    """Train the configured head(s) on one synthesized dataset.
-
-    Both heads consume the same backbone-feature initialization (the record
-    carries its hash per head, asserted identical) and the same classifier
-    initialization. Artifacts are written under out_dir (defaults to the
-    config's output_dir). With head = both the heads train concurrently
-    where _map_heads allows it, and in order otherwise; the outputs are the
-    same either way.
-    """
-    t0 = time.perf_counter()
-    out = Path(out_dir) if out_dir is not None else Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
-    rng = make_rng(cfg.train.seed)
-    features = synthesize_dataset(cfg, rng)
-    h0_sha = hashlib.sha256(np.ascontiguousarray(features.h0).tobytes()).hexdigest()
-    cls_init = lpm.initialize_classifier(cfg.k, cfg.d, cfg.train.e_w, rng)
-    # draw both head inits in a fixed order so head selection does not
-    # perturb the stream consumed by either head
-    head_inits = {
-        "explicit": lpm.initialize_explicit_head(cfg.d, cfg.d0, cfg.train.e_h, rng),
-        "deq": lpm.initialize_deq_head(cfg.d, cfg.train.e_h, rng, policy=cfg.solver),
-    }
-
-    head_names = ("explicit", "deq") if cfg.head == "both" else (cfg.head,)
-    train_head = functools.partial(
-        _train_head, cfg, features, h0_sha, cls_init, head_inits, out
-    )
-    finals, summaries = {}, {}
-    for head_name, (summary, means, w) in zip(head_names, _map_heads(train_head, head_names)):
-        summaries[head_name], finals[head_name] = summary, (means, w)
+def _finish_run(cfg, out: Path, results: list, duration_s: float, quiet=True) -> RunRecord:
+    """Raise the first failed head in head order, or compare the heads and
+    write report.json. results are the run's head-job results in head order."""
+    summaries, finals = {}, {}
+    for result in results:
+        if isinstance(result, Exception):
+            raise result
+        summary, means, w, means0, _ = result
+        summaries[summary.head], finals[summary.head] = summary, (means, w)
         if not quiet:
             final = summary.final_report
-            print(
-                f"[{cfg.name}/{head_name}] step {cfg.train.steps}: loss {final['loss']:.6f} "
-                f"acc {final['accuracy']:.4f} nc1 {final['nc1']:.4g} "
-                f"nc2 {final['nc2']:.4g} nc3 {final['nc3']:.4g}"
-            )
+            print(f"[{cfg.name}/{summary.head}] step {cfg.train.steps}: loss {final['loss']:.6f} "
+                  f"acc {final['accuracy']:.4f} nc1 {final['nc1']:.4g} "
+                  f"nc2 {final['nc2']:.4g} nc3 {final['nc3']:.4g}")
+    h0_shas = {summary.h0_init_sha256 for summary in summaries.values()}
+    if len(h0_shas) != 1:
+        raise AssertionError("the heads did not start from the same H0 initialization")
 
     condition_report, condition_note = None, None
     if cfg.head == "both" and cfg.imbalance is not None:
-        condition_report, condition_note = compare_heads(cfg, features, finals)
+        condition_report, condition_note = compare_heads(cfg, means0, finals)
 
     record = RunRecord(
         config_hash=cfg.config_hash(),
         name=cfg.name,
         seed=cfg.train.seed,
-        duration_s=time.perf_counter() - t0,
+        duration_s=duration_s,
         heads={name: dataclasses.asdict(s) for name, s in summaries.items()},
-        shared_h0_sha256=h0_sha,
+        shared_h0_sha256=h0_shas.pop(),
         condition_report=condition_report.as_dict() if condition_report else None,
         condition_note=condition_note,
     )
@@ -581,10 +581,26 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, quiet: bool = True) -> R
     return record
 
 
+def run_experiment(cfg: ExperimentConfig, out_dir=None, quiet: bool = True) -> RunRecord:
+    """Train the configured head(s) on one synthesized dataset.
+
+    Each head trains in a head job (_run_head_jobs, one worker per usable
+    CPU); all start from the same backbone-feature and classifier draws,
+    and the record carries the H0 hash per head, asserted identical.
+    Artifacts go under out_dir (default: the config's output_dir), and
+    the record's duration_s is the run's wall time.
+    """
+    t0 = time.perf_counter()
+    out = Path(out_dir) if out_dir is not None else Path(cfg.output_dir)
+    results = _run_head_jobs(_head_jobs(cfg, out), len(os.sched_getaffinity(0)))
+    return _finish_run(cfg, out, results, time.perf_counter() - t0, quiet)
+
+
 def reexport_grams(run_dir) -> list:
     """Write the sample and class-mean Gram CSVs of a finished run from its
     state_*.npz files (one pair per head directory). A state file that is
-    truncated or lacks an array is a ConfigError naming it."""
+    truncated, lacks an array or holds labels that do not match h is a
+    ConfigError naming it."""
     run_dir = Path(run_dir)
     states = sorted(run_dir.rglob("state_*.npz"))
     if not states:
@@ -596,6 +612,9 @@ def reexport_grams(run_dir) -> list:
                 h, labels = state["h"], state["labels"]
         except (zipfile.BadZipFile, KeyError, ValueError, EOFError) as exc:
             raise ConfigError(f"cannot read {state_path}: {exc}") from exc
+        if h.ndim != 2 or labels.shape != h.shape[1:]:
+            raise ConfigError(f"{state_path}: labels of shape {labels.shape} do not match "
+                              f"h of shape {h.shape}")
         written.extend(export_gram(h, labels, state_path.parent))
     return written
 
@@ -604,57 +623,57 @@ def reexport_grams(run_dir) -> list:
 # sweeps
 # ---------------------------------------------------------------------------
 
-def _sweep_worker(args):
-    path, preset, out_root, seed_override = args
-    cfg = with_seed(load_config(path, preset=preset), seed_override)
-    out_dir = Path(out_root) / cfg.name if out_root else None
-    record = run_experiment(cfg, out_dir=out_dir)
-    return cfg.config_hash(), record.as_dict()
-
-
 def run_sweep(config_dir, preset: str = "desk", out_root=None, seed=None,
               max_workers: Optional[int] = None) -> dict:
-    """Run every *.cfg under config_dir concurrently, one worker per config.
+    """Run the head jobs of every *.cfg under config_dir in one
+    _run_head_jobs call on max_workers workers (default: the usable CPUs).
 
-    The pool forks its workers whatever the platform's default start method
-    (spawn or forkserver on some), so they inherit this process's state
-    rather than re-importing it.
-
-    Runs are fully isolated: a config that raises does not stop the others.
-    The aggregator merges RunRecords keyed by config hash into
+    Two configs that would write the same run directory (out_root/<name>,
+    else their output_dir) are a ConfigError before any job starts. Else a
+    config that fails to load, or whose head fails, does not stop the
+    others. RunRecords, keyed by config hash, are merged into
     sweep_summary.json alongside the configs (or under out_root when given),
-    plus one record per failed config, keyed by its file name, with its
-    name, error class and message. The summary is written before the first
-    failure (in file order) is re-raised, so the CLI exits with that
-    error's code.
+    with one record per failed config, keyed by its file name: its name,
+    error class and message. A record's duration_s is the sum of its heads'
+    job times. The summary is written before the first failure (in file
+    order) is re-raised, so the CLI exits with that error's code.
     """
     config_dir = Path(config_dir)
-    paths = sorted(str(p) for p in config_dir.glob("*.cfg"))
+    paths = sorted(config_dir.glob("*.cfg"))
     if not paths:
         raise ConfigError(f"no *.cfg files in {config_dir}")
-    import multiprocessing
+    runs, owners = {}, {}
+    for path in paths:
+        try:
+            cfg = with_seed(load_config(path, preset=preset), seed)
+        except Exception as exc:  # reported in the summary, then re-raised
+            runs[path] = exc
+            continue
+        out = Path(out_root) / cfg.name if out_root else Path(cfg.output_dir)
+        owner = owners.setdefault(out.resolve(), path)
+        if owner != path:
+            raise ConfigError(f"{owner} and {path} would both write run directory {out}")
+        runs[path] = (cfg, out, _head_jobs(cfg, out))
 
-    jobs = [(p, preset, str(out_root) if out_root else None, seed) for p in paths]
+    jobs = [job for run in runs.values() if not isinstance(run, Exception) for job in run[2]]
+    results = iter(_run_head_jobs(jobs, max_workers or len(os.sched_getaffinity(0))))
     merged, failures = {}, []
-    context = multiprocessing.get_context("fork")
-    with concurrent.futures.ProcessPoolExecutor(max_workers=max_workers, mp_context=context) as pool:
-        futures = [pool.submit(_sweep_worker, job) for job in jobs]
-        for path, future in zip(paths, futures):
-            try:
-                config_hash, record = future.result()
-            except Exception as exc:  # reported in the summary, then re-raised
-                failures.append(exc)
-                path = Path(path)
-                merged[path.name] = {
-                    "name": path.stem, "error": type(exc).__name__, "message": str(exc),
-                }
-            else:
-                merged[config_hash] = record
+    for path, run in runs.items():
+        try:
+            if isinstance(run, Exception):
+                raise run
+            cfg, out, head_jobs = run
+            head_results = [next(results) for _ in head_jobs]
+            seconds = sum(r[-1] for r in head_results if not isinstance(r, Exception))
+            record = _finish_run(cfg, out, head_results, seconds)
+        except Exception as exc:  # reported in the summary, then re-raised
+            failures.append(exc)
+            merged[path.name] = dict(name=path.stem, error=type(exc).__name__, message=str(exc))
+        else:
+            merged[record.config_hash] = record.as_dict()
     summary_dir = Path(out_root) if out_root else config_dir
     summary_dir.mkdir(parents=True, exist_ok=True)
-    (summary_dir / "sweep_summary.json").write_text(
-        json.dumps(merged, indent=2, sort_keys=True)
-    )
+    (summary_dir / "sweep_summary.json").write_text(json.dumps(merged, indent=2, sort_keys=True))
     if failures:
         raise failures[0]
     return merged

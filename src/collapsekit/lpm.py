@@ -25,12 +25,15 @@ the NC metrics of a chunk in one stacked pass (NcReporter.reports), each
 state with the bits it would get alone.
 
 Two determinism details are deliberate:
-  * reductions over the class axis run in a canonical row order, so
-    relabeling classes (with the matching row permutation of W) reproduces
-    a training run bit for bit. The softmax denominator sums each column's
-    values in ascending order; train() keeps each column's order from the
-    previous step and re-sorts only the columns whose order changed
-    (ClassSum), which gives the bits of a fresh sort;
+  * reductions over the class axis run in a canonical row order, so a
+    class relabeling (with the matching row permutation of W) does not
+    change their bits. The softmax denominator sums each column's values in
+    ascending order; train() keeps each column's order from the previous
+    step and re-sorts only the columns whose order changed (ClassSum),
+    which gives the bits of a fresh sort. The logits product w @ z is not
+    canonical: BLAS may round a row's last bits differently at another row
+    position (seen with OpenBLAS at some N, e.g. 370), so a relabeled run
+    reproduces the loss trace bit for bit only where it does not;
   * ball projections iterate the shrink factor to a floating-point fixed
     point, so projecting twice is exactly projecting once whenever the
     projection clears its budget (a rescale that stalls one ulp above the

@@ -1,11 +1,18 @@
 import csv
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from collapsekit.cli import main
 from collapsekit.errors import SingularMatrixError
+
+_TOOL = Path(__file__).resolve().parents[1] / "tools" / "compare_outputs.py"
+_spec = importlib.util.spec_from_file_location("compare_outputs", _TOOL)
+compare_outputs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(compare_outputs)
 
 
 def _cfg_lines(**overrides):
@@ -160,12 +167,16 @@ class TestExportGram:
     def _damage_state(state, how):
         if how == "truncated":
             state.write_bytes(state.read_bytes()[:-30])
-        else:  # a state without its h array
-            with np.load(state) as saved:
-                arrays = {key: saved[key] for key in saved.files if key != "h"}
-            np.savez(state, **arrays)
+            return
+        with np.load(state) as saved:
+            arrays = {key: saved[key] for key in saved.files}
+        if how == "missing-array":  # a state without its h array
+            del arrays["h"]
+        else:  # labels for 5 of the 12 columns of h
+            arrays["labels"] = arrays["labels"][:5]
+        np.savez(state, **arrays)
 
-    @pytest.mark.parametrize("how", ["truncated", "missing-array"])
+    @pytest.mark.parametrize("how", ["truncated", "missing-array", "short-labels"])
     def test_bad_state_exit_2(self, tmp_path, capsys, how):
         cfg = _write(tmp_path, "demo.cfg", _cfg_lines())
         out = tmp_path / "out"
@@ -202,6 +213,60 @@ class TestSweepCommand:
         assert summary.pop("two.cfg")["error"] == "ConfigError"
         assert [record["name"] for record in summary.values()] == ["one"]
         assert (out / "one/trace.csv").is_file()
+
+    def test_same_outputs_in_process_and_pooled(self, tmp_path):
+        configs = tmp_path / "configs"
+        configs.mkdir()
+        for seed in (1, 2):
+            _write(configs, f"s{seed}.cfg", _cfg_lines(head="both", e_h=0.5, seed=seed))
+        _write(configs, "wide.cfg", _cfg_lines(balanced_n=9, steps=30))
+        for workers in (1, 2):
+            assert main(["sweep", str(configs), "--out", str(tmp_path / f"w{workers}"),
+                         "--quiet", "--workers", str(workers)]) == 0
+        count, differ = compare_outputs.compare_trees(tmp_path / "w1", tmp_path / "w2")
+        assert (count, differ) == (19, [])
+
+    def test_failed_deq_head_exits_4_and_spares_the_rest(self, tmp_path, capsys):
+        clean, mixed = tmp_path / "clean", tmp_path / "mixed"
+        for config_dir in (clean, mixed):
+            config_dir.mkdir()
+            for seed in (1, 2):
+                _write(config_dir, f"s{seed}.cfg", _cfg_lines(head="both", e_h=0.5, seed=seed))
+        _write(mixed, "stuck.cfg", _cfg_lines(head="both", e_h=0.5, on_failure="error",
+                                              **TestRunCommand.UNCONVERGED))
+        runs = {}
+        for config_dir, code in ((clean, 0), (mixed, 4)):
+            runs[config_dir] = tmp_path / f"{config_dir.name}_out"
+            assert main(["sweep", str(config_dir), "--out", str(runs[config_dir]), "--quiet",
+                         "--workers", "2"]) == code
+        assert "solver did not converge" in capsys.readouterr().err
+
+        summary = json.loads((runs[mixed] / "sweep_summary.json").read_text())
+        failed = summary.pop("stuck.cfg")
+        assert (failed["name"], failed["error"]) == ("stuck", "SolverConvergenceError")
+        assert (runs[mixed] / "stuck/explicit/state_explicit.npz").is_file()
+        assert not (runs[mixed] / "stuck/report.json").exists()
+        clean_summary = json.loads((runs[clean] / "sweep_summary.json").read_text())
+        assert compare_outputs._drop_timing(summary) == compare_outputs._drop_timing(clean_summary)
+
+    @pytest.mark.parametrize("out_flag", [True, False], ids=["out", "output_dir"])
+    def test_shared_run_directory_exits_2(self, tmp_path, capsys, out_flag):
+        configs = tmp_path / "configs"
+        configs.mkdir()
+        for name, seed in (("a", 1), ("b", 2), ("c", 1)):
+            lines = _cfg_lines(seed=seed) + ["name = same"]
+            if not out_flag:
+                lines.append(f"output_dir = {tmp_path / 'runs' / 'same'}")
+            _write(configs, f"{name}.cfg", lines)
+        argv = ["sweep", str(configs), "--quiet"]
+        if out_flag:
+            argv += ["--out", str(tmp_path / "runs")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert str(configs / "a.cfg") in err and str(configs / "b.cfg") in err
+        assert not (tmp_path / "runs").exists()
+        assert not (configs / "sweep_summary.json").exists()
 
 
 def test_divergence_exit_code(tmp_path, capsys, monkeypatch):

@@ -1,5 +1,6 @@
 import concurrent.futures
 import csv
+import functools
 import itertools
 import json
 import os
@@ -7,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from collapsekit import lpm
+from collapsekit import harness, lpm
 from collapsekit.cli import main
 from collapsekit.errors import ConfigError, SolverConvergenceError, TrainingDivergedError
 from collapsekit.harness import (
@@ -429,6 +430,14 @@ class TestSweep:
         for config_hash, record in summary.items():
             assert _without_timing(record) == _without_timing(clean[config_hash])
 
+    def test_no_config_loads(self, tmp_path):
+        _write_config(tmp_path, ["head = deq", "k = 5", "d0 = 20", "d = 12",
+                                 "balanced_n = 3"], name="bad.cfg")
+        with pytest.raises(ConfigError, match="d0 = d"):
+            run_sweep(tmp_path, max_workers=2)
+        summary = json.loads((tmp_path / "sweep_summary.json").read_text())
+        assert summary["bad.cfg"]["error"] == "ConfigError"
+
     def test_sweep_empty_dir(self, tmp_path):
         with pytest.raises(ConfigError, match="no \\*.cfg"):
             run_sweep(tmp_path)
@@ -590,6 +599,58 @@ class TestParallelHeads:
         # the sweep's own pool forks; its workers train both heads in order
         assert _pool_log(log) == [f"{os.getpid()} fork"]
         assert (tmp_path / "out/s2/deq/trace.csv").is_file()
+
+
+class TestHeadJobs:
+    def test_every_head_trains_in_a_head_job(self, tmp_path, monkeypatch):
+        # a rebound _sweep_worker sees every head of a run and of a sweep,
+        # in this process and in forked pool workers alike
+        log = tmp_path / "jobs.log"
+        worker = harness._sweep_worker
+
+        @functools.wraps(worker)
+        def logged(job):
+            with open(log, "a") as fh:
+                fh.write(f"{job[0]} {job[3]}\n")
+            return worker(job)
+
+        monkeypatch.setattr(harness, "_sweep_worker", logged)
+        configs = tmp_path / "configs"
+        configs.mkdir()
+        _write_config(configs, [f"{k} = {v}" for k, v in BOTH_BALANCED.items()], name="s.cfg")
+        _write_config(configs, [f"{k} = {v}" for k, v in TINY.items()], name="t.cfg")
+        expected = []
+        for cpus in (1, 2):
+            _set_cpus(monkeypatch, cpus)
+            run_experiment(config_from_dict(dict(BOTH_BALANCED), name="pair"),
+                           out_dir=tmp_path / f"run{cpus}")
+            run_sweep(configs, out_root=tmp_path / f"sweep{cpus}", max_workers=cpus)
+            expected += ["pair deq", "pair explicit", "s deq", "s explicit", "t explicit"]
+        assert sorted(log.read_text().splitlines()) == sorted(expected)
+
+    def test_pool_takes_the_largest_job_first(self, tmp_path, monkeypatch):
+        submitted = []
+
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+            def submit(self, fn, job):
+                submitted.append(job[0])
+                return super().submit(fn, job)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        # N x steps: 240, 720 and 810
+        sizes = {"small": (4, 20), "long": (4, 60), "wide": (9, 30)}
+        jobs = [job for name, (n, steps) in sizes.items() for job in harness._head_jobs(
+            config_from_dict(dict(TINY, balanced_n=n, steps=steps), name=name), tmp_path / name)]
+        results = harness._run_head_jobs(jobs, workers=2)
+        assert submitted == ["wide", "long", "small"]
+        # results come back in job order
+        assert [result[0].trace_path for result in results] == [
+            str(tmp_path / name / "trace.csv") for name in sizes]
+
+        # every job has a worker: this process trains the largest itself
+        submitted.clear()
+        harness._run_head_jobs(jobs[:2], workers=2)
+        assert submitted == ["small"]
 
 
 def test_write_trace_csv_validates(tmp_path):

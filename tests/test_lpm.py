@@ -406,6 +406,27 @@ class TestTrain:
         assert base.loss_history.tobytes() == fresh.loss_history.tobytes()
         assert base.snapshots == fresh.snapshots
 
+    @pytest.mark.xfail(strict=True, reason="the BLAS logits product w @ z can round a row "
+                                           "differently at another row position")
+    def test_label_permutation_not_exact_at_every_n(self):
+        # N = 370: the class-axis reductions are canonical, but OpenBLAS's
+        # w @ z can round a logits row differently at another row position,
+        # so the relabeled loss trace first differs at step 380
+        k, d = 10, 16
+        labels = np.repeat(np.arange(k), (100,) * 3 + (10,) * 7)
+        rng = make_rng(4)
+        features = initialize_features(labels, k, d, 0.5, rng)
+        cls = initialize_classifier(k, d, 1.0, rng)
+        head = initialize_explicit_head(d, d, 0.5, rng)
+        cfg = TrainConfig(steps=400, e_h=0.5, feature_budget=0.5, seed=4, log_every=400)
+        base = train(features, head, cls, cfg)
+
+        perm = np.roll(np.arange(k), 5)
+        features_p = FeatureSet(h0=features.h0, labels=perm[labels], k=k)
+        cls_p = ClassifierWeights(w=cls.w[np.argsort(perm)], e_w=cls.e_w)
+        permuted = train(features_p, head, cls_p, cfg)
+        assert base.loss_history.tobytes() == permuted.loss_history.tobytes()
+
     @pytest.mark.parametrize("head_kind", ["explicit", "deq"])
     def test_inputs_untouched(self, head_kind):
         # the classifier starts inside its ball, so the projection hands

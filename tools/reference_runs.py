@@ -4,8 +4,10 @@
 
 Each entry of RUNS becomes OUT/configs/<name>.cfg and runs into OUT/<name>
 under its preset (PRESETS, else desk), and `export-gram` then writes the
-sample Grams of the runs in EXPORT_GRAM; then `sweep --write-grid --seed 6` writes the nine imbalance-grid configs to
-OUT/grid-configs and runs them into OUT/grid. Every command runs with
+sample Grams of the runs in EXPORT_GRAM. Then `sweep --write-grid --seed 6`
+writes the nine imbalance-grid configs to OUT/grid-configs and runs their
+head jobs on a two-worker pool into OUT/grid, and the same grid runs again
+in-process (`--workers 1`) into OUT/grid-serial. Every command runs with
 OPENBLAS_NUM_THREADS=1, so its outputs are reproducible bit for bit, and
 uses the collapsekit under src/ next to this tools/ directory. Run it at two
 revisions and compare the trees with
@@ -109,8 +111,12 @@ def main(argv=None) -> int:
         code = _collapsekit("export-gram", out / name, cwd=out)
         if code:
             return code
-    return _collapsekit("sweep", out / "grid-configs", "--write-grid", "--seed", GRID_SEED,
-                        "--out", out / "grid", "--quiet", cwd=out)
+    code = _collapsekit("sweep", out / "grid-configs", "--write-grid", "--seed", GRID_SEED,
+                        "--workers", 2, "--out", out / "grid", "--quiet", cwd=out)
+    if code:
+        return code
+    return _collapsekit("sweep", out / "grid-configs", "--seed", GRID_SEED, "--workers", 1,
+                        "--out", out / "grid-serial", "--quiet", cwd=out)
 
 
 if __name__ == "__main__":
