@@ -48,12 +48,10 @@ from .harness import (
     synthesize_dataset,
 )
 from .linalg import (
-    SvdResult,
     make_rng,
     pseudo_inverse,
     solve_linear,
     spectral_radius_bound,
-    svd,
 )
 from .lpm import (
     ClassifierWeights,

@@ -97,7 +97,7 @@ def _require(ok: bool, message: str) -> None:
 
 def _cmd_run(args) -> int:
     cfg = harness.with_seed(harness.load_config(args.config, preset=args.preset), args.seed)
-    record = harness.run_experiment(cfg, out_dir=args.out, quiet=args.quiet)
+    record = harness.run_experiment(cfg, out_dir=args.out)
     if not args.quiet:
         print(f"run {record.name}: hash {record.config_hash[:12]} ({record.duration_s:.2f} s)")
         for head, summary in record.heads.items():

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import DivergenceError, SolverConvergenceError
 from .linalg import as_matrix, solve_linear, spectral_radius_bound
 
-ON_FAILURE_CHOICES = ("skip", "error", "accept-last")
+ON_FAILURE_CHOICES = ("skip", "error")
 
 
 @dataclass(frozen=True)
@@ -53,9 +53,9 @@ class SolverPolicy:
 
     Defaults follow the reference training recipe: threshold 1e-3 and a cap
     of 20 iterations. In training the policy governs the Picard diagnostic
-    of each snapshot (the forward solves in closed form): "skip" and
-    "accept-last" record an unconverged solve, its unconverged columns
-    counted in solver_skip_count, and "error" raises SolverConvergenceError.
+    of each snapshot (the forward solves in closed form): "skip" records an
+    unconverged solve, its unconverged columns counted in solver_skip_count,
+    and "error" raises SolverConvergenceError.
     """
 
     epsilon: float = 1e-3
@@ -63,7 +63,7 @@ class SolverPolicy:
     on_failure: str = "skip"
 
     def __post_init__(self):
-        if self.epsilon <= 0.0:
+        if not self.epsilon > 0.0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if self.t_max < 1:
             raise ValueError(f"t_max must be at least 1, got {self.t_max}")
@@ -119,8 +119,8 @@ def fixed_point_iterate(weights: DeqWeights, h0, policy: SolverPolicy) -> FixedP
     Stops when the update norm drops to policy.epsilon or after t_max
     iterations; the convergence flag and residual are reported honestly
     either way. With on_failure="error" a non-converged solve raises;
-    "skip" and "accept-last" leave the handling to the caller, which can
-    consult column_residuals for individual samples.
+    "skip" leaves the handling to the caller, which can consult
+    column_residuals for individual samples.
     """
     h0 = as_matrix(h0, "h0")
     if h0.shape[0] != weights.dim:

@@ -40,13 +40,11 @@ def normalized_etf_gram(k: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EtfFrame:
-    """A concrete D x K simplex ETF together with its generating factors."""
+    """A concrete D x K simplex ETF together with its partial-orthogonal
+    factor P."""
 
     s: np.ndarray
-    alpha: float
     p: np.ndarray
-    k: int
-    d: int
 
     def gram(self) -> np.ndarray:
         return self.s.T @ self.s
@@ -66,7 +64,7 @@ def make_etf(k: int, d: int, alpha: float, rng: np.random.Generator) -> EtfFrame
         raise ValueError(f"alpha must be finite and non-zero, got {alpha}")
     q = random_orthonormal(d, k, rng)
     s = alpha * math.sqrt(k / (k - 1)) * (q @ centering_matrix(k))
-    return EtfFrame(s=s, alpha=float(alpha), p=q, k=k, d=d)
+    return EtfFrame(s=s, p=q)
 
 
 def gram_distance_to_etf(gram, k: int) -> float:

@@ -545,7 +545,7 @@ def _run_head_jobs(jobs: list, workers: int) -> list:
     return results
 
 
-def _finish_run(cfg, out: Path, results: list, duration_s: float, quiet=True) -> RunRecord:
+def _finish_run(cfg, out: Path, results: list, duration_s: float) -> RunRecord:
     """Raise the first failed head in head order, or compare the heads and
     write report.json. results are the run's head-job results in head order."""
     summaries, finals = {}, {}
@@ -554,11 +554,6 @@ def _finish_run(cfg, out: Path, results: list, duration_s: float, quiet=True) ->
             raise result
         summary, means, w, means0, _ = result
         summaries[summary.head], finals[summary.head] = summary, (means, w)
-        if not quiet:
-            final = summary.final_report
-            print(f"[{cfg.name}/{summary.head}] step {cfg.train.steps}: loss {final['loss']:.6f} "
-                  f"acc {final['accuracy']:.4f} nc1 {final['nc1']:.4g} "
-                  f"nc2 {final['nc2']:.4g} nc3 {final['nc3']:.4g}")
     h0_shas = {summary.h0_init_sha256 for summary in summaries.values()}
     if len(h0_shas) != 1:
         raise AssertionError("the heads did not start from the same H0 initialization")
@@ -581,19 +576,20 @@ def _finish_run(cfg, out: Path, results: list, duration_s: float, quiet=True) ->
     return record
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir=None, quiet: bool = True) -> RunRecord:
+def run_experiment(cfg: ExperimentConfig, out_dir=None) -> RunRecord:
     """Train the configured head(s) on one synthesized dataset.
 
     Each head trains in a head job (_run_head_jobs, one worker per usable
     CPU); all start from the same backbone-feature and classifier draws,
     and the record carries the H0 hash per head, asserted identical.
     Artifacts go under out_dir (default: the config's output_dir), and
-    the record's duration_s is the run's wall time.
+    the record's duration_s is the run's wall time. Nothing is printed;
+    `collapsekit run` prints the record's summary.
     """
     t0 = time.perf_counter()
     out = Path(out_dir) if out_dir is not None else Path(cfg.output_dir)
     results = _run_head_jobs(_head_jobs(cfg, out), len(os.sched_getaffinity(0)))
-    return _finish_run(cfg, out, results, time.perf_counter() - t0, quiet)
+    return _finish_run(cfg, out, results, time.perf_counter() - t0)
 
 
 def reexport_grams(run_dir) -> list:

@@ -9,8 +9,6 @@ a 32-bit noise floor would mask that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import SingularMatrixError
@@ -51,31 +49,6 @@ def frobenius_norms(m: np.ndarray) -> np.ndarray:
     this has the bits of np.linalg.norm on that matrix alone."""
     flat = m.reshape(m.shape[0], 1, -1)
     return np.sqrt((flat @ flat.swapaxes(-1, -2))[:, 0, 0])
-
-
-@dataclass(frozen=True)
-class SvdResult:
-    """Thin SVD: u has orthonormal columns, vt orthonormal rows,
-    singular_values sorted descending and non-negative."""
-
-    u: np.ndarray
-    singular_values: np.ndarray
-    vt: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.u * self.singular_values) @ self.vt
-
-
-def svd(m) -> SvdResult:
-    """Thin SVD of a finite matrix.
-
-    Rank-deficient inputs yield trailing zero singular values. LAPACK's
-    iteration-failure error (LinAlgError) propagates on the rare
-    non-converging input.
-    """
-    m = as_matrix(m)
-    u, s, vt = np.linalg.svd(m, full_matrices=False)
-    return SvdResult(u=u, singular_values=s, vt=vt)
 
 
 def pseudo_inverse(m, rel_cutoff: float = DEFAULT_PINV_CUTOFF) -> np.ndarray:

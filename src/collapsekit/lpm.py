@@ -104,10 +104,6 @@ class FeatureSet:
     def n_total(self) -> int:
         return self.h0.shape[1]
 
-    @property
-    def d0(self) -> int:
-        return self.h0.shape[0]
-
 
 @dataclass(frozen=True)
 class ClassifierWeights:
@@ -258,11 +254,11 @@ class TrainConfig:
     minority_classes: Optional[tuple] = None
 
     def __post_init__(self):
-        if self.learning_rate < 0.0:
+        if not self.learning_rate >= 0.0:
             raise ValueError("learning_rate must be non-negative")
         if self.steps < 1:
             raise ValueError("steps must be at least 1")
-        if min(self.e_w, self.e_h, self.feature_budget) <= 0.0:
+        if not all(budget > 0.0 for budget in (self.e_w, self.e_h, self.feature_budget)):
             raise ValueError("budgets must be positive")
         if self.log_every < 1:
             raise ValueError("log_every must be at least 1")

@@ -202,13 +202,9 @@ def _nc3_diff(w: np.ndarray, means: np.ndarray, means_norm: np.ndarray) -> np.nd
     return w / w_norm[:, None, None] - _transpose(means) / means_norm[:, None, None]
 
 
-def nc3(w, class_means, norm: str = "fro") -> float:
-    """Norm of W/||W||_F - Hbar^T/||Hbar||_F, pairing classifier row k with
-    class-k mean.
-
-    The outer norm is Frobenius by default; pass norm="spectral" for the
-    operator-norm variant.
-    """
+def nc3(w, class_means) -> float:
+    """Frobenius norm of W/||W||_F - Hbar^T/||Hbar||_F, pairing classifier
+    row k with class-k mean."""
     w = as_matrix(w, "w")
     means = as_matrix(class_means, "class_means")
     if w.shape != (means.shape[1], means.shape[0]):
@@ -216,11 +212,7 @@ def nc3(w, class_means, norm: str = "fro") -> float:
             f"classifier {w.shape} and class means {means.shape} are not K x D vs D x K"
         )
     diff = _nc3_diff(w[None], means[None], frobenius_norms(means[None]))[0]
-    if norm == "fro":
-        return float(np.linalg.norm(diff))
-    if norm == "spectral":
-        return float(np.linalg.norm(diff, 2))
-    raise ValueError(f"norm must be 'fro' or 'spectral', got {norm!r}")
+    return float(np.linalg.norm(diff))
 
 
 def _row_norms(w: np.ndarray) -> np.ndarray:
@@ -258,21 +250,16 @@ def _pair_index(r: int) -> np.ndarray:
     return i * r + j
 
 
-def mean_pairwise_cosine(w, classes: Sequence[int]) -> float:
-    """Mean cosine over all pairs of the selected classifier rows.
+def minority_collapse_index(w, minority_classes: Sequence[int]) -> float:
+    """Mean cosine over all pairs of the minority-class classifier rows.
 
     Approaches 1 when the selected rows collapse onto one direction and
     -1/(K-1) when they sit on a K-class ETF. Returns NaN (with the norms
     left to per_class_weight_norm) when a selected row is numerically zero.
     """
     w = as_matrix(w, "w")[None]
-    rows = _cosine_rows(classes)
+    rows = _cosine_rows(minority_classes)
     return float(_mean_pairwise_cosines(w, _row_norms(w), rows, _pair_index(rows.size))[0])
-
-
-def minority_collapse_index(w, minority_classes: Sequence[int]) -> float:
-    """Mean pairwise cosine among minority-class classifier rows."""
-    return mean_pairwise_cosine(w, minority_classes)
 
 
 @dataclass(frozen=True)

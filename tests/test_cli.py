@@ -1,6 +1,7 @@
 import csv
 import importlib.util
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -87,6 +88,19 @@ class TestRunCommand:
         assert main(["run", str(cfg), "--out", str(out), "--quiet", "--preset", "paper"]) == 0
         report = json.loads((out / "report.json").read_text())
         assert report["heads"]["explicit"]["final_loss"] > 0
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_prints_one_line_per_head(self, tmp_path, capsys, monkeypatch, cpus):
+        # two CPUs train the deq head in a forked worker; the lines keep head order
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        lines = _cfg_lines(head="both", k=4, k_a=2, k_b=2, n_a=10, r=5, steps=60,
+                           e_h=0.5, feature_budget=0.5, seed=3)
+        lines.remove("balanced_n = 4")
+        cfg = _write(tmp_path, "pair.cfg", lines)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].startswith("run pair: hash ")
+        assert [line.split()[0] for line in out[1:]] == ["explicit:", "deq:", "conditions:"]
 
 
 class TestChecks:
@@ -271,7 +285,7 @@ class TestSweepCommand:
 
 def test_divergence_exit_code(tmp_path, capsys, monkeypatch):
     # a run whose training diverges maps to exit 3
-    def explode(cfg, out_dir=None, quiet=True):
+    def explode(cfg, out_dir=None):
         from collapsekit.errors import DivergenceError
 
         raise DivergenceError("sigma_max >= 1")
@@ -284,7 +298,7 @@ def test_divergence_exit_code(tmp_path, capsys, monkeypatch):
 
 def test_solver_convergence_exit_code(tmp_path, capsys, monkeypatch):
     # a non-converged solve under an error policy maps to exit 4
-    def stuck(cfg, out_dir=None, quiet=True):
+    def stuck(cfg, out_dir=None):
         from collapsekit.errors import SolverConvergenceError
 
         raise SolverConvergenceError("fixed point not reached")
@@ -297,7 +311,7 @@ def test_solver_convergence_exit_code(tmp_path, capsys, monkeypatch):
 
 def test_artifact_error_exit_code(tmp_path, capsys, monkeypatch):
     # a failed artifact write or self-validation maps to exit 5
-    def unwritable(cfg, out_dir=None, quiet=True):
+    def unwritable(cfg, out_dir=None):
         raise OSError("self-validation failed re-reading trace.csv")
 
     monkeypatch.setattr("collapsekit.cli.harness.run_experiment", unwritable)
@@ -309,7 +323,7 @@ def test_artifact_error_exit_code(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("error", [SingularMatrixError, np.linalg.LinAlgError])
 def test_linear_algebra_exit_code(tmp_path, capsys, monkeypatch, error):
     # a singular solve or a failed numpy factorization maps to exit 6
-    def singular(cfg, out_dir=None, quiet=True):
+    def singular(cfg, out_dir=None):
         raise error("matrix is singular")
 
     monkeypatch.setattr("collapsekit.cli.harness.run_experiment", singular)

@@ -44,6 +44,8 @@ class TestSolverPolicy:
     def test_validation(self):
         with pytest.raises(ValueError):
             SolverPolicy(epsilon=0.0)
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            SolverPolicy(epsilon=float("nan"))
         with pytest.raises(ValueError):
             SolverPolicy(t_max=0)
         with pytest.raises(ValueError):

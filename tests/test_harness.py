@@ -1,9 +1,11 @@
 import concurrent.futures
 import csv
 import functools
+import importlib.util
 import itertools
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +29,11 @@ from collapsekit.etf import gram_distance_to_etf_raw
 from collapsekit.linalg import make_rng
 from collapsekit.lpm import ExplicitHead
 from collapsekit.metrics import class_means
+
+_TOOL = Path(__file__).resolve().parents[1] / "tools" / "compare_outputs.py"
+_spec = importlib.util.spec_from_file_location("compare_outputs", _TOOL)
+compare_outputs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(compare_outputs)
 
 TINY = {
     "head": "explicit", "k": 3, "d0": 6, "d": 6, "balanced_n": 4,
@@ -136,6 +143,7 @@ class TestConfigParsing:
         # an imbalanced layout in place of TINY's balanced_n
         ({"balanced_n": None, "k_a": 0, "k_b": 3, "n_a": 10, "r": 5}, "majority"),
         ({"balanced_n": None, "k_a": 2, "k_b": 1, "n_a": 10, "r": 1}, "n_a > n_b"),
+        ({"on_failure": "accept-last"}, "on_failure must be one of"),
     ])
     def test_bad_values(self, overrides, message):
         raw = {k: v for k, v in dict(TINY, **overrides).items() if v is not None}
@@ -381,15 +389,6 @@ class TestRunExperiment:
             reexport_grams(tmp_path)
 
 
-def _without_timing(record: dict) -> dict:
-    # duration_s is wall time; trace_path names the run's output directory
-    record = dict(record, duration_s=None)
-    record["heads"] = {
-        name: dict(head, trace_path=None) for name, head in record["heads"].items()
-    }
-    return record
-
-
 class TestSweep:
     def test_grid_writer(self, tmp_path):
         written = write_imbalance_grid(tmp_path)
@@ -426,9 +425,7 @@ class TestSweep:
         assert failed["name"] == "a_bad"
         assert failed["error"] == "ConfigError"
         assert "d0 = d" in failed["message"]
-        assert set(summary) == set(clean)
-        for config_hash, record in summary.items():
-            assert _without_timing(record) == _without_timing(clean[config_hash])
+        assert compare_outputs._drop_timing(summary) == compare_outputs._drop_timing(clean)
 
     def test_no_config_loads(self, tmp_path):
         _write_config(tmp_path, ["head = deq", "k = 5", "d0 = 20", "d = 12",
@@ -506,42 +503,22 @@ class TestParallelHeads:
 
     @pytest.mark.parametrize("params", [BOTH_BALANCED, BOTH_IMBALANCED],
                              ids=["balanced", "imbalanced"])
-    def test_matches_sequential_byte_for_byte(self, tmp_path, monkeypatch, capsys, params):
+    def test_matches_sequential_byte_for_byte(self, tmp_path, monkeypatch, params):
         cfg = config_from_dict(dict(params), name="pair")
         log = tmp_path / "pools.log"
         _log_pools(monkeypatch, log)
-        dirs, stdout = {}, {}
+        dirs = {}
         for cpus in (2, 1):
             _set_cpus(monkeypatch, cpus)
             dirs[cpus] = tmp_path / f"cpus{cpus}"
-            run_experiment(cfg, out_dir=dirs[cpus], quiet=False)
-            stdout[cpus] = capsys.readouterr().out.splitlines()
+            run_experiment(cfg, out_dir=dirs[cpus])
         # only the two-CPU run started a pool, a forking one
         assert _pool_log(log) == [f"{os.getpid()} fork"]
 
-        files = sorted(p.relative_to(dirs[1]) for p in dirs[1].rglob("*") if p.is_file())
-        assert files == sorted(p.relative_to(dirs[2]) for p in dirs[2].rglob("*") if p.is_file())
-        assert len(files) == 7
-        for rel in files:
-            parallel, sequential = dirs[2] / rel, dirs[1] / rel
-            if rel.suffix == ".npz":
-                # the zip members carry write times; compare the arrays
-                with np.load(parallel) as a, np.load(sequential) as b:
-                    assert sorted(a) == sorted(b)
-                    for key in a:
-                        assert a[key].tobytes() == b[key].tobytes()
-            elif rel.name == "report.json":
-                assert _without_timing(json.loads(parallel.read_text())) == (
-                    _without_timing(json.loads(sequential.read_text()))
-                )
-            else:
-                assert parallel.read_bytes() == sequential.read_bytes()
+        assert compare_outputs.compare_trees(dirs[2], dirs[1]) == (7, [])
         if "k_a" in params:
             report = json.loads((dirs[2] / "report.json").read_text())
             assert report["condition_report"]["nc2_distance_deq"] > 0
-
-        assert stdout[2] == stdout[1]
-        assert [line.split()[0] for line in stdout[2]] == ["[pair/explicit]", "[pair/deq]"]
 
     def test_worker_divergence_is_reraised_with_its_trace(self, tmp_path, monkeypatch):
         _diverge_deq_head(monkeypatch, at_step=9)

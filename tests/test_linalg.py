@@ -7,45 +7,7 @@ from collapsekit.linalg import (
     pseudo_inverse,
     solve_linear,
     spectral_radius_bound,
-    svd,
 )
-
-
-class TestSvd:
-    def test_identity(self):
-        result = svd(np.eye(3))
-        np.testing.assert_allclose(result.singular_values, [1.0, 1.0, 1.0])
-
-    def test_diagonal(self):
-        result = svd(np.diag([3.0, 0.0]))
-        np.testing.assert_allclose(result.singular_values, [3.0, 0.0])
-
-    def test_reconstruction_random(self):
-        rng = make_rng(7)
-        m = rng.standard_normal((5, 4))
-        result = svd(m)
-        rel = np.linalg.norm(result.reconstruct() - m) / np.linalg.norm(m)
-        assert rel < 1e-10
-
-    def test_singular_values_sorted_nonnegative(self):
-        rng = make_rng(2)
-        s = svd(rng.standard_normal((6, 3))).singular_values
-        assert np.all(s >= 0)
-        assert np.all(np.diff(s) <= 0)
-
-    def test_orthonormal_factors(self):
-        rng = make_rng(3)
-        result = svd(rng.standard_normal((4, 6)))
-        np.testing.assert_allclose(result.u.T @ result.u, np.eye(4), atol=1e-12)
-        np.testing.assert_allclose(result.vt @ result.vt.T, np.eye(4), atol=1e-12)
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError, match="non-finite"):
-            svd(np.array([[1.0, np.nan], [0.0, 1.0]]))
-
-    def test_rejects_wrong_ndim(self):
-        with pytest.raises(ValueError, match="2-D"):
-            svd(np.ones(3))
 
 
 def _penrose_ok(m, p, tol=1e-9):
@@ -168,6 +130,8 @@ class TestSolveLinear:
             solve_linear(np.ones((2, 3)), np.ones((2, 1)))
         with pytest.raises(ValueError, match="rows"):
             solve_linear(np.eye(2), np.ones((3, 1)))
+        with pytest.raises(ValueError, match="b must be 2-D"):
+            solve_linear(np.eye(3), np.ones(3))
 
 
 class TestRng:

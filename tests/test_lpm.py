@@ -733,5 +733,11 @@ class TestValidation:
             TrainConfig(e_w=0.0)
         with pytest.raises(ValueError):
             TrainConfig(momentum=1.0)
+        nan = float("nan")
+        with pytest.raises(ValueError, match="learning_rate must be non-negative"):
+            TrainConfig(learning_rate=nan)
+        for budget in ("e_w", "e_h", "feature_budget"):
+            with pytest.raises(ValueError, match="budgets must be positive"):
+                TrainConfig(**{budget: nan})
         # learning_rate = 0 is allowed: it is the no-op training idiom
         TrainConfig(learning_rate=0.0)

@@ -13,7 +13,6 @@ from collapsekit.metrics import (
     NcReport,
     NcReporter,
     class_statistics,
-    mean_pairwise_cosine,
     minority_collapse_index,
     nc1,
     nc2,
@@ -188,15 +187,6 @@ class TestNc3:
         means = rng.standard_normal((4, 3))
         assert nc3(5.0 * w, 0.01 * means) == pytest.approx(nc3(w, means), rel=1e-12)
 
-    def test_spectral_variant(self):
-        rng = make_rng(6)
-        w = rng.standard_normal((3, 4))
-        means = rng.standard_normal((4, 3))
-        diff = w / np.linalg.norm(w) - means.T / np.linalg.norm(means)
-        assert nc3(w, means, norm="spectral") == pytest.approx(
-            np.linalg.norm(diff, 2), abs=1e-12
-        )
-
     def test_shape_error(self):
         with pytest.raises(ValueError, match="K x D"):
             nc3(np.ones((3, 4)), np.ones((3, 4)))
@@ -217,11 +207,11 @@ class TestMinorityCollapse:
 
     def test_zero_row_sentinel(self):
         w = np.vstack([np.zeros(3), np.ones(3)])
-        assert math.isnan(mean_pairwise_cosine(w, [0, 1]))
+        assert math.isnan(minority_collapse_index(w, [0, 1]))
 
     def test_needs_two_classes(self):
         with pytest.raises(ValueError, match="two classes"):
-            mean_pairwise_cosine(np.eye(3), [1])
+            minority_collapse_index(np.eye(3), [1])
 
 
 class TestNcReport:

@@ -56,6 +56,13 @@ RUNS = {
         _DESK, head="explicit", k=5, d0=20, d=12, k_a=2, k_b=3, n_a=40, r=10,
         steps=1500, e_h=1.0, feature_budget=1.0, log_every=3, seed=0,
     ),
+    # a Picard diagnostic that cannot converge in t_max = 2: every snapshot
+    # records skipped columns under on_failure = skip
+    "solver-skips": dict(
+        _DESK, head="deq", k=4, d0=16, d=16, balanced_n=10, steps=300,
+        e_h=0.5, feature_budget=0.5, log_every=7, epsilon=1e-9, t_max=2,
+        on_failure="skip", seed=1,
+    ),
     # the paper preset and every default: only the required keys are given
     "paper-defaults": dict(head="both", k=4, k_a=2, k_b=2, n_a=20, r=4,
                            steps=400, log_every=50),
