@@ -116,6 +116,8 @@ def _cmd_run(args) -> int:
                 f"nc2 dist ex={cr['nc2_distance_explicit']:.4g} "
                 f"deq={cr['nc2_distance_deq']:.4g}, cos ratio {ratio_text}"
             )
+        if record.condition_note is not None:
+            print(f"  conditions: {record.condition_note}")
     return 0
 
 

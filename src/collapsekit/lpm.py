@@ -107,24 +107,20 @@ class FeatureSet:
 
 @dataclass(frozen=True)
 class ClassifierWeights:
-    """Last-layer classifier with the mean-square row budget
-    (1/K) sum_k ||w_k||^2 <= e_w."""
+    """Last-layer classifier W, one row per class; TrainConfig.e_w budgets
+    its mean-square row norm (1/K) sum_k ||w_k||^2."""
 
     w: np.ndarray
-    e_w: float
 
     def __post_init__(self):
-        w = as_matrix(self.w, "w")
-        if self.e_w <= 0.0:
-            raise ValueError(f"e_w must be positive, got {self.e_w}")
-        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "w", as_matrix(self.w, "w"))
 
 
 class HeadModel:
     """The interface both heads share:
 
-      weight, budget       the head weight and its Frobenius budget e_h
-      with_weight(w, e_h)  the same head with another weight and budget
+      weight               the head weight (its Frobenius budget is TrainConfig.e_h)
+      with_weight(w)       the same head with another weight
       apply(h0)            the head output for backbone features h0
       preimage_operator()  the map z -> H0 with apply(H0) = z, constants built once
       backward(upstream, h0)
@@ -141,27 +137,19 @@ class HeadModel:
 
 @dataclass(frozen=True)
 class ExplicitHead(HeadModel):
-    """Plain linear head with Frobenius budget ||w_ex||_F <= e_h."""
+    """Plain linear head z = w_ex @ h0."""
 
     w_ex: np.ndarray
-    e_h: float
 
     def __post_init__(self):
-        w = as_matrix(self.w_ex, "w_ex")
-        if self.e_h <= 0.0:
-            raise ValueError(f"e_h must be positive, got {self.e_h}")
-        object.__setattr__(self, "w_ex", w)
+        object.__setattr__(self, "w_ex", as_matrix(self.w_ex, "w_ex"))
 
     @property
     def weight(self) -> np.ndarray:
         return self.w_ex
 
-    @property
-    def budget(self) -> float:
-        return self.e_h
-
-    def with_weight(self, w, e_h: float) -> "ExplicitHead":
-        return ExplicitHead(w_ex=w, e_h=e_h)
+    def with_weight(self, w) -> "ExplicitHead":
+        return ExplicitHead(w_ex=w)
 
     def apply(self, h0: np.ndarray) -> np.ndarray:
         return self.w_ex @ h0
@@ -190,9 +178,9 @@ class ExplicitHead(HeadModel):
 
 @dataclass(frozen=True)
 class DeqHead(HeadModel):
-    """Equilibrium head: weights carry their own Frobenius budget. The
-    forward solves the equilibrium in closed form; the policy governs the
-    Picard diagnostic of each training snapshot."""
+    """Equilibrium head z = W z + h0. The forward solves the equilibrium in
+    closed form; the policy governs the Picard diagnostic of each training
+    snapshot."""
 
     weights: DeqWeights
     policy: SolverPolicy = SolverPolicy()
@@ -201,12 +189,8 @@ class DeqHead(HeadModel):
     def weight(self) -> np.ndarray:
         return self.weights.w
 
-    @property
-    def budget(self) -> float:
-        return self.weights.e_h
-
-    def with_weight(self, w, e_h: float) -> "DeqHead":
-        return DeqHead(weights=DeqWeights(w=w, e_h=e_h), policy=self.policy)
+    def with_weight(self, w) -> "DeqHead":
+        return DeqHead(weights=DeqWeights(w=w), policy=self.policy)
 
     def apply(self, h0: np.ndarray) -> np.ndarray:
         return deq.fixed_point_closed_form(self.weights, h0)
@@ -268,6 +252,10 @@ class TrainConfig:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not (0.0 < self.metric_cutoff < 1.0):
             raise ValueError(f"metric_cutoff must lie in (0, 1), got {self.metric_cutoff}")
+        if self.minority_classes is not None and len(self.minority_classes) < 2:
+            raise ValueError(
+                f"minority_classes needs at least two classes, got {self.minority_classes}"
+            )
 
 
 @dataclass(frozen=True)
@@ -422,8 +410,8 @@ def _project_raw(h0, weights, head, w, cfg: TrainConfig):
     """Project (H0, head, W); weights are the feature functional's."""
     w, _ = _shrink_to_ball(w, classifier_mean_square, cfg.e_w, squared=True)
     head_w, _ = _shrink_to_ball(head.weight, np.linalg.norm, cfg.e_h, squared=False)
-    if head_w is not head.weight or head.budget != cfg.e_h:
-        head = head.with_weight(head_w, cfg.e_h)
+    if head_w is not head.weight:
+        head = head.with_weight(head_w)
 
     def induced(h0_candidate):
         return _feature_norm(head.apply(h0_candidate), weights)
@@ -505,7 +493,8 @@ def project_feasible(
     cls: ClassifierWeights,
     cfg: TrainConfig,
 ):
-    """Euclidean projection of every block onto its constraint ball.
+    """Euclidean projection of every block onto its constraint ball, of
+    budget cfg.e_w, cfg.e_h or cfg.feature_budget (no block holds a budget).
 
     Classifier and head shrink radially when over budget; the feature ball
     constrains the post-head features, so H0 is rescaled by the factor that
@@ -517,8 +506,8 @@ def project_feasible(
     h0, head, w = _project_raw(features.h0, weights, head, cls.w, cfg)
     if h0 is not features.h0:
         features = replace(features, h0=h0)
-    if w is not cls.w or cls.e_w != cfg.e_w:
-        cls = ClassifierWeights(w=w, e_w=cfg.e_w)
+    if w is not cls.w:
+        cls = ClassifierWeights(w=w)
     return features, head, cls
 
 
@@ -630,7 +619,7 @@ def train(
         if np.all(np.isfinite(z)) and np.all(np.isfinite(w)):
             trace.features = replace(features, h0=preimage(z))
             trace.head = head
-            trace.classifier = ClassifierWeights(w=w, e_w=cfg.e_w)
+            trace.classifier = ClassifierWeights(w=w)
         # on a non-finite abort the last valid snapshot already holds the
         # most recent usable state
 
@@ -683,7 +672,7 @@ def initialize_classifier(k, d, e_w, rng) -> ClassifierWeights:
     """Gaussian rows rescaled so the mean-square functional sits at e_w / 2."""
     w = rng.standard_normal((k, d))
     w *= math.sqrt(0.5 * e_w / classifier_mean_square(w))
-    return ClassifierWeights(w=w, e_w=e_w)
+    return ClassifierWeights(w=w)
 
 
 def initialize_explicit_head(d, d0, e_h, rng) -> ExplicitHead:
@@ -696,7 +685,7 @@ def initialize_explicit_head(d, d0, e_h, rng) -> ExplicitHead:
     if d0 < d:
         raise ValueError(f"explicit head needs d0 >= d, got d0={d0}, d={d}")
     w = (e_h / math.sqrt(d)) * linalg.random_orthonormal(d0, d, rng).T
-    return ExplicitHead(w_ex=w, e_h=e_h)
+    return ExplicitHead(w_ex=w)
 
 
 def initialize_deq_head(d, e_h, rng, policy: SolverPolicy = SolverPolicy()) -> DeqHead:
@@ -704,7 +693,7 @@ def initialize_deq_head(d, e_h, rng, policy: SolverPolicy = SolverPolicy()) -> D
     whenever e_h < 2)."""
     w = rng.standard_normal((d, d))
     w *= 0.5 * e_h / np.linalg.norm(w)
-    return DeqHead(weights=DeqWeights(w=w, e_h=e_h), policy=policy)
+    return DeqHead(weights=DeqWeights(w=w), policy=policy)
 
 
 def initialize_features(labels, k, d0, feature_budget, rng) -> FeatureSet:

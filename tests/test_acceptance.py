@@ -82,7 +82,7 @@ def test_criterion_02_fixed_point_oracle():
         w = rng.standard_normal((d, d))
         sigma = np.linalg.svd(w, compute_uv=False)[0]
         w *= rng.uniform(0.05, 0.9) / sigma
-        weights = ck.DeqWeights(w=w, e_h=float(np.linalg.norm(w)) + 1e-9)
+        weights = ck.DeqWeights(w=w)
         h0 = rng.standard_normal((d, int(rng.integers(1, 8))))
         z_iter = ck.fixed_point_iterate(weights, h0, policy).z_star
         z_exact = ck.fixed_point_closed_form(weights, h0)
@@ -103,30 +103,19 @@ def test_criterion_03_gradient_checks():
         features = lpm.initialize_features(labels, k, d, 1.0, rng)
         cls = lpm.initialize_classifier(k, d, 1.0, rng)
         w_gauss = rng.standard_normal((d, d))
-        heads = {
-            "explicit": ck.ExplicitHead(w_ex=0.4 * w_gauss / np.linalg.norm(w_gauss), e_h=1.0),
-            "deq": ck.DeqHead(weights=ck.DeqWeights(
-                w=0.4 * w_gauss / np.linalg.norm(w_gauss), e_h=0.5)),
-        }
-        for head_kind, head in heads.items():
+        w_head = 0.4 * w_gauss / np.linalg.norm(w_gauss)
+        for head in (ck.ExplicitHead(w_ex=w_head), ck.DeqHead(weights=ck.DeqWeights(w=w_head))):
             _, grads, _, _ = ck.loss_and_grads(features, head, cls)
 
             def loss_at(h0=None, head_w=None, w=None):
                 f = features if h0 is None else ck.FeatureSet(h0=h0, labels=labels, k=k)
-                if head_w is None:
-                    h = head
-                elif head_kind == "explicit":
-                    h = ck.ExplicitHead(w_ex=head_w, e_h=head.e_h)
-                else:
-                    h = ck.DeqHead(weights=ck.DeqWeights(
-                        w=head_w, e_h=float(np.linalg.norm(head_w)) + 1.0))
-                c = cls if w is None else ck.ClassifierWeights(w=w, e_w=cls.e_w)
+                h = head if head_w is None else head.with_weight(head_w)
+                c = cls if w is None else ck.ClassifierWeights(w=w)
                 return ck.cross_entropy(ck.forward(f, h, c), labels)
 
-            head_base = head.w_ex if head_kind == "explicit" else head.weights.w
             blocks = {
                 "w": (cls.w, lambda m: loss_at(w=m)),
-                "head": (head_base, lambda m: loss_at(head_w=m)),
+                "head": (head.weight, lambda m: loss_at(head_w=m)),
                 "h0": (features.h0, lambda m: loss_at(h0=m)),
             }
             eps = 1e-6

@@ -89,18 +89,26 @@ class TestRunCommand:
         report = json.loads((out / "report.json").read_text())
         assert report["heads"]["explicit"]["final_loss"] > 0
 
+    @pytest.mark.parametrize("e_h", [0.5, 1.0])
     @pytest.mark.parametrize("cpus", [1, 2])
-    def test_prints_one_line_per_head(self, tmp_path, capsys, monkeypatch, cpus):
+    def test_prints_one_line_per_head(self, tmp_path, capsys, monkeypatch, cpus, e_h):
         # two CPUs train the deq head in a forked worker; the lines keep head order
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         lines = _cfg_lines(head="both", k=4, k_a=2, k_b=2, n_a=10, r=5, steps=60,
-                           e_h=0.5, feature_budget=0.5, seed=3)
+                           e_h=e_h, feature_budget=0.5, seed=3)
         lines.remove("balanced_n = 4")
         cfg = _write(tmp_path, "pair.cfg", lines)
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
         out = capsys.readouterr().out.splitlines()
         assert out[0].startswith("run pair: hash ")
         assert [line.split()[0] for line in out[1:]] == ["explicit:", "deq:", "conditions:"]
+        note = json.loads((tmp_path / "out" / "report.json").read_text())["condition_note"]
+        if e_h >= 1.0:
+            # no comparison at e_h >= 1: the line says why
+            assert out[-1] == f"  conditions: {note}"
+            assert note.startswith("e_h >= 1")
+        else:
+            assert note is None
 
 
 class TestChecks:

@@ -17,20 +17,16 @@ from collapsekit.linalg import make_rng
 def _random_contraction(rng, d, norm):
     w = rng.standard_normal((d, d))
     w *= norm / np.linalg.norm(w)
-    return DeqWeights(w=w, e_h=norm)
+    return DeqWeights(w=w)
 
 
 class TestDeqWeights:
-    def test_budget_enforced(self):
-        with pytest.raises(ValueError, match="budget"):
-            DeqWeights(w=np.eye(3), e_h=1.0)  # ||I||_F = sqrt(3) > 1
-
     def test_square_required(self):
         with pytest.raises(ValueError, match="square"):
-            DeqWeights(w=np.ones((2, 3)), e_h=10.0)
+            DeqWeights(w=np.ones((2, 3)))
 
     def test_sigma_max(self):
-        weights = DeqWeights(w=0.5 * np.eye(3), e_h=1.0)
+        weights = DeqWeights(w=0.5 * np.eye(3))
         assert weights.sigma_max() == pytest.approx(0.5)
 
 
@@ -56,11 +52,11 @@ class TestClosedForm:
     def test_zero_weight_is_passthrough(self):
         rng = make_rng(0)
         h0 = rng.standard_normal((4, 7))
-        w = DeqWeights(w=np.zeros((4, 4)), e_h=1.0)
+        w = DeqWeights(w=np.zeros((4, 4)))
         np.testing.assert_allclose(fixed_point_closed_form(w, h0), h0, atol=1e-14)
 
     def test_geometric(self):
-        w = DeqWeights(w=0.5 * np.eye(3), e_h=1.0)
+        w = DeqWeights(w=0.5 * np.eye(3))
         h0 = np.ones((3, 1))
         np.testing.assert_allclose(
             fixed_point_closed_form(w, h0), np.full((3, 1), 2.0), atol=1e-12
@@ -78,13 +74,19 @@ class TestClosedForm:
         z = fixed_point_closed_form(w, h0)
         assert np.linalg.norm(z - acc) / np.linalg.norm(acc) < 1e-10
 
-    def test_divergence_error(self):
-        w = DeqWeights(w=1.5 * np.eye(2), e_h=3.0)
+    @pytest.mark.parametrize("solve", [
+        lambda w: fixed_point_closed_form(w, np.ones((2, 1))),
+        resolvent,
+        lambda w: head_gradient(w, np.ones((2, 1)), np.ones((2, 1))),
+    ], ids=["fixed_point_closed_form", "resolvent", "head_gradient"])
+    def test_divergence_error(self, solve):
+        # any square weight can be built; no equilibrium exists at sigma_max >= 1
+        w = DeqWeights(w=1.5 * np.eye(2))
         with pytest.raises(DivergenceError):
-            fixed_point_closed_form(w, np.ones((2, 1)))
+            solve(w)
 
     def test_shape_check(self):
-        w = DeqWeights(w=np.zeros((3, 3)), e_h=1.0)
+        w = DeqWeights(w=np.zeros((3, 3)))
         with pytest.raises(ValueError, match="rows"):
             fixed_point_closed_form(w, np.ones((4, 1)))
 
@@ -93,21 +95,21 @@ class TestIterate:
     def test_zero_weight_converges_first_iteration(self):
         rng = make_rng(1)
         h0 = rng.standard_normal((3, 5))
-        w = DeqWeights(w=np.zeros((3, 3)), e_h=1.0)
+        w = DeqWeights(w=np.zeros((3, 3)))
         result = fixed_point_iterate(w, h0, SolverPolicy())
         assert result.converged
         assert result.iterations == 1
         np.testing.assert_array_equal(result.z_star, h0)
 
     def test_halving_residuals(self):
-        w = DeqWeights(w=np.array([[0.5]]), e_h=0.5)
+        w = DeqWeights(w=np.array([[0.5]]))
         result = fixed_point_iterate(w, np.array([[1.0]]), SolverPolicy(epsilon=1e-3))
         assert result.converged
         assert result.iterations <= 12
         assert abs(result.z_star[0, 0] - 2.0) < 2e-3
 
     def test_slow_contraction_does_not_converge(self):
-        w = DeqWeights(w=0.99 * np.eye(3), e_h=2.0)
+        w = DeqWeights(w=0.99 * np.eye(3))
         result = fixed_point_iterate(
             w, np.ones((3, 1)), SolverPolicy(epsilon=1e-3, t_max=20)
         )
@@ -116,14 +118,14 @@ class TestIterate:
         assert result.residual > 1e-3
 
     def test_error_policy_raises(self):
-        w = DeqWeights(w=0.99 * np.eye(3), e_h=2.0)
+        w = DeqWeights(w=0.99 * np.eye(3))
         with pytest.raises(SolverConvergenceError):
             fixed_point_iterate(
                 w, np.ones((3, 1)), SolverPolicy(epsilon=1e-3, t_max=5, on_failure="error")
             )
 
     def test_skip_policy_returns_column_residuals(self):
-        w = DeqWeights(w=0.99 * np.eye(2), e_h=2.0)
+        w = DeqWeights(w=0.99 * np.eye(2))
         result = fixed_point_iterate(
             w, np.ones((2, 3)), SolverPolicy(epsilon=1e-3, t_max=5, on_failure="skip")
         )
@@ -191,13 +193,13 @@ class TestHeadGradient:
         rng = make_rng(2)
         h0 = rng.standard_normal((3, 4))
         upstream = rng.standard_normal((3, 4))
-        w = DeqWeights(w=np.zeros((3, 3)), e_h=1.0)
+        w = DeqWeights(w=np.zeros((3, 3)))
         grad_w, grad_h0 = head_gradient(w, h0, upstream)
         np.testing.assert_allclose(grad_h0, upstream, atol=1e-14)
         np.testing.assert_allclose(grad_w, upstream @ h0.T, atol=1e-14)
 
     def test_scalar_case(self):
-        w = DeqWeights(w=np.array([[0.5]]), e_h=0.5)
+        w = DeqWeights(w=np.array([[0.5]]))
         grad_w, grad_h0 = head_gradient(w, np.array([[1.0]]), np.array([[1.0]]))
         assert grad_h0[0, 0] == pytest.approx(2.0, abs=1e-12)
         assert grad_w[0, 0] == pytest.approx(4.0, abs=1e-12)

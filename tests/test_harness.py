@@ -144,6 +144,7 @@ class TestConfigParsing:
         ({"balanced_n": None, "k_a": 0, "k_b": 3, "n_a": 10, "r": 5}, "majority"),
         ({"balanced_n": None, "k_a": 2, "k_b": 1, "n_a": 10, "r": 1}, "n_a > n_b"),
         ({"on_failure": "accept-last"}, "on_failure must be one of"),
+        ({"balanced_n": None, "k_a": 2, "k_b": 1, "n_a": 10, "r": 5}, "minority"),
     ])
     def test_bad_values(self, overrides, message):
         raw = {k: v for k, v in dict(TINY, **overrides).items() if v is not None}

@@ -44,7 +44,7 @@ def _small_instance(seed, k=3, n=4, d=6, head_kind="explicit", e_h=1.0, gaussian
         if gaussian_head:
             w = rng.standard_normal((d, d))
             w *= 0.5 * e_h / np.linalg.norm(w)
-            head = ExplicitHead(w_ex=w, e_h=e_h)
+            head = ExplicitHead(w_ex=w)
         else:
             head = initialize_explicit_head(d, d, e_h, rng)
     else:
@@ -162,8 +162,8 @@ class TestForward:
         labels = np.array([0, 1, 2])
         h0 = rng.standard_normal((3, 3))
         features = FeatureSet(h0=h0, labels=labels, k=3)
-        head = ExplicitHead(w_ex=np.eye(3), e_h=10.0)
-        cls = ClassifierWeights(w=np.eye(3), e_w=10.0)
+        head = ExplicitHead(w_ex=np.eye(3))
+        cls = ClassifierWeights(w=np.eye(3))
         np.testing.assert_array_equal(forward(features, head, cls), h0)
 
     def test_zero_deq_equals_identity_explicit(self):
@@ -171,9 +171,9 @@ class TestForward:
         labels = np.repeat(np.arange(2), 3)
         h0 = rng.standard_normal((4, 6))
         features = FeatureSet(h0=h0, labels=labels, k=2)
-        cls = ClassifierWeights(w=rng.standard_normal((2, 4)), e_w=10.0)
-        deq = DeqHead(weights=DeqWeights(w=np.zeros((4, 4)), e_h=1.0))
-        explicit = ExplicitHead(w_ex=np.eye(4), e_h=10.0)
+        cls = ClassifierWeights(w=rng.standard_normal((2, 4)))
+        deq = DeqHead(weights=DeqWeights(w=np.zeros((4, 4))))
+        explicit = ExplicitHead(w_ex=np.eye(4))
         np.testing.assert_allclose(
             forward(features, deq, cls), forward(features, explicit, cls), atol=1e-12
         )
@@ -185,14 +185,14 @@ class TestForward:
         features = FeatureSet(h0=h0, labels=labels, k=3)
         w_ex = rng.standard_normal((5, 5)) * 0.1
         w = rng.standard_normal((3, 5))
-        cls = ClassifierWeights(w=w, e_w=100.0)
-        explicit = ExplicitHead(w_ex=w_ex, e_h=100.0)
+        cls = ClassifierWeights(w=w)
+        explicit = ExplicitHead(w_ex=w_ex)
         np.testing.assert_allclose(
             forward(features, explicit, cls), w @ (w_ex @ h0), atol=1e-10
         )
         w_deq = rng.standard_normal((5, 5))
         w_deq *= 0.3 / np.linalg.norm(w_deq)
-        deq = DeqHead(weights=DeqWeights(w=w_deq, e_h=0.3))
+        deq = DeqHead(weights=DeqWeights(w=w_deq))
         oracle = w @ np.linalg.solve(np.eye(5) - w_deq, h0)
         np.testing.assert_allclose(forward(features, deq, cls), oracle, atol=1e-10)
 
@@ -215,7 +215,7 @@ class TestProjection:
         rng = make_rng(3)
         w = rng.standard_normal((4, 6))
         w *= math.sqrt(4.0 / classifier_mean_square(w))  # mean-square = 4 * e_w
-        cls = ClassifierWeights(w=w, e_w=1.0)
+        cls = ClassifierWeights(w=w)
         features, head, _ = _small_instance(3, k=4, d=6)
         cfg = self._cfg(e_w=1.0, e_h=100.0, feature_budget=100.0)
         _, _, c2 = project_feasible(features, head, cls, cfg)
@@ -225,10 +225,10 @@ class TestProjection:
         rng = make_rng(4)
         w = rng.standard_normal((5, 5))
         w *= 2.0 / np.linalg.norm(w)  # ||w|| = 2 = 2 * e_h
-        head = DeqHead(weights=DeqWeights(w=w, e_h=2.0))
+        head = DeqHead(weights=DeqWeights(w=w))
         labels = np.repeat(np.arange(2), 3)
         features = FeatureSet(h0=make_rng(5).standard_normal((5, 6)), labels=labels, k=2)
-        cls = ClassifierWeights(w=make_rng(6).standard_normal((2, 5)), e_w=100.0)
+        cls = ClassifierWeights(w=make_rng(6).standard_normal((2, 5)))
         cfg = self._cfg(e_w=100.0, e_h=1.0, feature_budget=100.0)
         _, h2, _ = project_feasible(features, head, cls, cfg)
         np.testing.assert_allclose(h2.weights.w, 0.5 * w, rtol=1e-12)
@@ -249,9 +249,9 @@ class TestProjection:
             labels = np.repeat(np.arange(3), 4)
             h0 = rng.standard_normal((6, 12)) * 3.0
             features = FeatureSet(h0=h0, labels=labels, k=3)
-            cls = ClassifierWeights(w=rng.standard_normal((3, 6)) * 2.0, e_w=1.0)
+            cls = ClassifierWeights(w=rng.standard_normal((3, 6)) * 2.0)
             w_ex = rng.standard_normal((6, 6)) * 2.0
-            head = ExplicitHead(w_ex=w_ex, e_h=1.0)
+            head = ExplicitHead(w_ex=w_ex)
             cfg = self._cfg()
             once = project_feasible(features, head, cls, cfg)
             twice = project_feasible(*once, cfg)
@@ -273,24 +273,13 @@ class TestGradients:
 
             def loss_at(h0=None, head_w=None, w=None):
                 f = features if h0 is None else FeatureSet(h0=h0, labels=labels, k=features.k)
-                if head_w is None:
-                    h = head
-                elif head_kind == "explicit":
-                    h = ExplicitHead(w_ex=head_w, e_h=head.e_h)
-                else:
-                    h = DeqHead(
-                        weights=DeqWeights(w=head_w, e_h=np.linalg.norm(head_w) + 1.0),
-                        policy=head.policy,
-                    )
-                c = cls if w is None else ClassifierWeights(w=w, e_w=cls.e_w)
+                h = head if head_w is None else head.with_weight(head_w)
+                c = cls if w is None else ClassifierWeights(w=w)
                 return cross_entropy(forward(f, h, c), labels)
 
             blocks = {
                 "w": (cls.w, lambda m: loss_at(w=m)),
-                "head": (
-                    head.w_ex if head_kind == "explicit" else head.weights.w,
-                    lambda m: loss_at(head_w=m),
-                ),
+                "head": (head.weight, lambda m: loss_at(head_w=m)),
                 "h0": (features.h0, lambda m: loss_at(h0=m)),
             }
             for name, (base, fn) in blocks.items():
@@ -366,7 +355,7 @@ class TestTrain:
         perm = np.array([2, 0, 3, 1])
         features_p = FeatureSet(h0=features.h0, labels=perm[labels], k=k)
         inverse = np.argsort(perm)
-        cls_p = ClassifierWeights(w=cls.w[inverse], e_w=cls.e_w)
+        cls_p = ClassifierWeights(w=cls.w[inverse])
         permuted = train(features_p, head, cls_p, cfg)
         np.testing.assert_array_equal(base.loss_history, permuted.loss_history)
 
@@ -396,7 +385,7 @@ class TestTrain:
 
         perm = np.array([3, 0, 4, 1, 2])
         features_p = FeatureSet(h0=features.h0, labels=perm[labels], k=k)
-        cls_p = ClassifierWeights(w=cls.w[np.argsort(perm)], e_w=cls.e_w)
+        cls_p = ClassifierWeights(w=cls.w[np.argsort(perm)])
         permuted = train(features_p, head, cls_p, cfg)
         assert base.loss_history.tobytes() == permuted.loss_history.tobytes()
 
@@ -423,7 +412,7 @@ class TestTrain:
 
         perm = np.roll(np.arange(k), 5)
         features_p = FeatureSet(h0=features.h0, labels=perm[labels], k=k)
-        cls_p = ClassifierWeights(w=cls.w[np.argsort(perm)], e_w=cls.e_w)
+        cls_p = ClassifierWeights(w=cls.w[np.argsort(perm)])
         permuted = train(features_p, head, cls_p, cfg)
         assert base.loss_history.tobytes() == permuted.loss_history.tobytes()
 
