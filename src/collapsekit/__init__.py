@@ -14,7 +14,6 @@ from .bounds import (
     tightest_ratio,
 )
 from .deq import (
-    DeqWeights,
     FixedPointResult,
     SolverPolicy,
     fixed_point_closed_form,

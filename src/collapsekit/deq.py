@@ -6,6 +6,9 @@ i.e. z* = (I - W)^{-1} h0. The solver is plain Picard iteration with an
 epsilon / max-iteration early-stop policy; the linear case contracts
 geometrically so nothing fancier is needed, and the backward pass has a
 closed form instead of a Jacobian approximation.
+
+Every function takes W as a plain array, validated by square_weight;
+lpm.DeqHead holds that array with the SolverPolicy of its diagnostic.
 """
 
 from __future__ import annotations
@@ -20,26 +23,15 @@ from .linalg import as_matrix, solve_linear, spectral_radius_bound
 ON_FAILURE_CHOICES = ("skip", "error")
 
 
-@dataclass(frozen=True)
-class DeqWeights:
-    """Square head weight W of z = W z + h0; TrainConfig.e_h budgets its
-    Frobenius norm. The equilibrium exists only for sigma_max(W) < 1,
-    which resolvent, fixed_point_closed_form and head_gradient check."""
-
-    w: np.ndarray
-
-    def __post_init__(self):
-        w = as_matrix(self.w, "w_deq")
-        if w.shape[0] != w.shape[1]:
-            raise ValueError(f"equilibrium weight must be square, got {w.shape}")
-        object.__setattr__(self, "w", w)
-
-    @property
-    def dim(self) -> int:
-        return self.w.shape[0]
-
-    def sigma_max(self) -> float:
-        return spectral_radius_bound(self.w)
+def square_weight(w) -> np.ndarray:
+    """The head weight W of z = W z + h0 as a finite square float64 matrix.
+    Any square W is accepted; the equilibrium exists only for
+    sigma_max(W) < 1, which resolvent, fixed_point_closed_form and
+    head_gradient check."""
+    w = as_matrix(w, "w_deq")
+    if w.shape[0] != w.shape[1]:
+        raise ValueError(f"equilibrium weight must be square, got {w.shape}")
+    return w
 
 
 @dataclass(frozen=True)
@@ -84,31 +76,31 @@ class FixedPointResult:
     column_residuals: np.ndarray = field(repr=False, default=None)
 
 
-def _check_contraction(weights: DeqWeights) -> float:
-    sigma = weights.sigma_max()
+def _check_contraction(w: np.ndarray) -> None:
+    sigma = spectral_radius_bound(w)
     if sigma >= 1.0:
         raise DivergenceError(
             f"equilibrium does not exist: sigma_max = {sigma:.6g} >= 1"
         )
-    return sigma
 
 
-def resolvent(weights: DeqWeights) -> np.ndarray:
+def resolvent(w) -> np.ndarray:
     """(I - W)^{-1}, the exact linear map from input to equilibrium."""
-    _check_contraction(weights)
-    return solve_linear(np.eye(weights.dim) - weights.w, np.eye(weights.dim))
+    w = square_weight(w)
+    _check_contraction(w)
+    return solve_linear(np.eye(w.shape[0]) - w, np.eye(w.shape[0]))
 
 
-def fixed_point_closed_form(weights: DeqWeights, h0) -> np.ndarray:
+def fixed_point_closed_form(w, h0) -> np.ndarray:
     """Exact equilibrium (I - W)^{-1} h0 of z = W z + h0."""
-    h0 = as_matrix(h0, "h0")
-    if h0.shape[0] != weights.dim:
-        raise ValueError(f"h0 has {h0.shape[0]} rows, head expects {weights.dim}")
-    _check_contraction(weights)
-    return solve_linear(np.eye(weights.dim) - weights.w, h0)
+    w, h0 = square_weight(w), as_matrix(h0, "h0")
+    if h0.shape[0] != w.shape[0]:
+        raise ValueError(f"h0 has {h0.shape[0]} rows, head expects {w.shape[0]}")
+    _check_contraction(w)
+    return solve_linear(np.eye(w.shape[0]) - w, h0)
 
 
-def fixed_point_iterate(weights: DeqWeights, h0, policy: SolverPolicy) -> FixedPointResult:
+def fixed_point_iterate(w, h0, policy: SolverPolicy) -> FixedPointResult:
     """Picard iteration z_{t+1} = W z_t + h0 from z_0 = h0.
 
     Stops when the update norm drops to policy.epsilon or after t_max
@@ -117,21 +109,17 @@ def fixed_point_iterate(weights: DeqWeights, h0, policy: SolverPolicy) -> FixedP
     "skip" leaves the handling to the caller, which can consult
     column_residuals for individual samples.
     """
-    h0 = as_matrix(h0, "h0")
-    if h0.shape[0] != weights.dim:
-        raise ValueError(f"h0 has {h0.shape[0]} rows, head expects {weights.dim}")
+    w, h0 = square_weight(w), as_matrix(h0, "h0")
+    if h0.shape[0] != w.shape[0]:
+        raise ValueError(f"h0 has {h0.shape[0]} rows, head expects {w.shape[0]}")
     z = h0.copy()
-    residual = np.inf
-    delta = np.full_like(h0, np.inf)
-    iterations = 0
     for iterations in range(1, policy.t_max + 1):
-        z_next = weights.w @ z + h0
+        z_next = w @ z + h0
         delta = z_next - z
         residual = float(np.linalg.norm(delta))
         z = z_next
         if residual <= policy.epsilon:
             break
-    # the last update's column norms; all inf when no iteration ran
     column_residuals = np.linalg.norm(delta, axis=0)
     converged = residual <= policy.epsilon
     if not converged and policy.on_failure == "error":
@@ -148,7 +136,7 @@ def fixed_point_iterate(weights: DeqWeights, h0, policy: SolverPolicy) -> FixedP
     )
 
 
-def head_gradient(weights: DeqWeights, h0, upstream):
+def head_gradient(w, h0, upstream):
     """Exact gradient of the linear fixed point.
 
     For L = <upstream, z*> with z* = (I - W)^{-1} h0 and A = (I - W)^{-1}:
@@ -157,7 +145,7 @@ def head_gradient(weights: DeqWeights, h0, upstream):
     """
     h0 = as_matrix(h0, "h0")
     upstream = as_matrix(upstream, "upstream")
-    a = resolvent(weights)
+    a = resolvent(w)
     z_star = a @ h0
     if upstream.shape != z_star.shape:
         raise ValueError(

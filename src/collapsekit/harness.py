@@ -109,6 +109,9 @@ class ExperimentConfig:
     imbalance: Optional[ImbalanceSpec] = None
 
     def __post_init__(self):
+        # runs write into <out>/<name> or runs/<name>: the name must not leave it
+        if self.name in ("", ".", "..") or "/" in self.name:
+            raise ConfigError(f"name must be one path component, got {self.name!r}")
         if self.head not in HEAD_CHOICES:
             raise ConfigError(f"head must be one of {HEAD_CHOICES}, got {self.head!r}")
         if self.k < 2:

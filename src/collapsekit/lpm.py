@@ -49,7 +49,7 @@ from typing import Optional
 import numpy as np
 
 from . import deq, linalg
-from .deq import DeqWeights, SolverPolicy, fixed_point_iterate
+from .deq import SolverPolicy, fixed_point_iterate
 from .errors import TrainingDivergedError
 from .linalg import DEFAULT_PINV_CUTOFF, as_matrix, check_conditioning
 from .linalg import solve_linear  # noqa: F401  (lpm.solve_linear: wrapped by perfbench/tracer.py)
@@ -97,10 +97,6 @@ class FeatureSet:
         object.__setattr__(self, "labels", labels)
 
     @property
-    def class_counts(self) -> np.ndarray:
-        return np.bincount(self.labels, minlength=self.k)
-
-    @property
     def n_total(self) -> int:
         return self.h0.shape[1]
 
@@ -116,48 +112,43 @@ class ClassifierWeights:
         object.__setattr__(self, "w", as_matrix(self.w, "w"))
 
 
+@dataclass(frozen=True)
 class HeadModel:
-    """The interface both heads share:
+    """The block both heads share: the head weight, whose Frobenius budget
+    is TrainConfig.e_h. Each head adds its maps:
 
-      weight               the head weight (its Frobenius budget is TrainConfig.e_h)
-      with_weight(w)       the same head with another weight
       apply(h0)            the head output for backbone features h0
       preimage_operator()  the map z -> H0 with apply(H0) = z, constants built once
       backward(upstream, h0)
                            (grad_head, grad_h0) of <upstream, apply(h0)>
-      diagnostic(z, h0, preimage)
-                           a snapshot's (solver iterations, skip count); h0 is
-                           z's preimage, or None to take preimage(z)
+      diagnostic(z, h0)    a snapshot's (solver iterations, skip count); h0 is
+                           z's preimage, or None to take it from preimage_operator
     """
+
+    weight: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "weight", as_matrix(self.weight, "weight"))
 
     @property
     def d(self) -> int:
         return self.weight.shape[0]
 
+    def with_weight(self, w) -> "HeadModel":
+        """The same head with another weight."""
+        return replace(self, weight=w)
 
-@dataclass(frozen=True)
+
 class ExplicitHead(HeadModel):
-    """Plain linear head z = w_ex @ h0."""
-
-    w_ex: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "w_ex", as_matrix(self.w_ex, "w_ex"))
-
-    @property
-    def weight(self) -> np.ndarray:
-        return self.w_ex
-
-    def with_weight(self, w) -> "ExplicitHead":
-        return ExplicitHead(w_ex=w)
+    """Plain linear head z = weight @ h0."""
 
     def apply(self, h0: np.ndarray) -> np.ndarray:
-        return self.w_ex @ h0
+        return self.weight @ h0
 
     def preimage_operator(self):
         """A conditioning-checked solve, or the minimum-norm preimage
         through the pseudo-inverse when d0 > d."""
-        w = self.w_ex
+        w = self.weight
         d, d0 = w.shape
         if d == d0:
             check_conditioning(w)
@@ -170,45 +161,41 @@ class ExplicitHead(HeadModel):
         )
 
     def backward(self, upstream, h0) -> tuple:
-        return upstream @ h0.T, self.w_ex.T @ upstream
+        return upstream @ h0.T, self.weight.T @ upstream
 
-    def diagnostic(self, z, h0, preimage) -> tuple:
+    def diagnostic(self, z, h0) -> tuple:
         return 0.0, 0
 
 
 @dataclass(frozen=True)
 class DeqHead(HeadModel):
-    """Equilibrium head z = W z + h0. The forward solves the equilibrium in
-    closed form; the policy governs the Picard diagnostic of each training
-    snapshot."""
+    """Equilibrium head z = W z + h0 with a square weight W. The forward
+    solves the equilibrium in closed form; the policy governs the Picard
+    diagnostic of each training snapshot."""
 
-    weights: DeqWeights
     policy: SolverPolicy = SolverPolicy()
 
-    @property
-    def weight(self) -> np.ndarray:
-        return self.weights.w
-
-    def with_weight(self, w) -> "DeqHead":
-        return DeqHead(weights=DeqWeights(w=w), policy=self.policy)
+    def __post_init__(self):
+        object.__setattr__(self, "weight", deq.square_weight(self.weight))
 
     def apply(self, h0: np.ndarray) -> np.ndarray:
-        return deq.fixed_point_closed_form(self.weights, h0)
+        return deq.fixed_point_closed_form(self.weight, h0)
 
     def preimage_operator(self):
         """The link H0 = (I - W) z."""
-        link = np.eye(self.d) - self.weights.w
+        link = np.eye(self.d) - self.weight
         return lambda z: link @ z
 
     def backward(self, upstream, h0) -> tuple:
-        return deq.head_gradient(self.weights, h0, upstream)
+        return deq.head_gradient(self.weight, h0, upstream)
 
-    def diagnostic(self, z, h0, preimage) -> tuple:
+    def diagnostic(self, z, h0) -> tuple:
         """Picard iteration under the head's policy, which raises when it does
         not converge and on_failure is "error"; skips are the columns whose
         last update exceeds epsilon."""
-        result = fixed_point_iterate(self.weights, preimage(z) if h0 is None else h0,
-                                     self.policy)
+        if h0 is None:
+            h0 = self.preimage_operator()(z)
+        result = fixed_point_iterate(self.weight, h0, self.policy)
         skips = np.count_nonzero(result.column_residuals > self.policy.epsilon)
         return float(result.iterations), int(skips)
 
@@ -516,14 +503,14 @@ class _SnapshotBuffer:
     appended in step order to snapshots (see train).
 
     pending holds (step, z, w, logits, loss, h0) per record, h0 given at
-    step 0 only. The run's metric constants are built once.
+    step 0 only; a later record's h0 is None, and the head's diagnostic
+    takes z's preimage itself. The run's metric constants are built once.
     """
 
-    def __init__(self, head: HeadModel, preimage, partition: ClassPartition,
+    def __init__(self, head: HeadModel, partition: ClassPartition,
                  cfg: TrainConfig, feature_size: int, snapshots: list):
         self.reporter = NcReporter.build(partition, cfg.metric_cutoff, cfg.minority_classes)
         self.head = head
-        self.preimage = preimage
         self.chunk = max(1, SNAPSHOT_CHUNK_ELEMENTS // feature_size)
         self.pending = []
         self.snapshots = snapshots
@@ -545,7 +532,7 @@ class _SnapshotBuffer:
         self.pending = []
         reports = self.reporter.reports(np.stack(zs), np.stack(ws), np.stack(logits), losses)
         for step, z, h0, report in zip(steps, zs, h0s, reports):
-            mean_iters, skip_count = self.head.diagnostic(z, h0, self.preimage)
+            mean_iters, skip_count = self.head.diagnostic(z, h0)
             self.snapshots.append(TraceSnapshot(step, report, mean_iters, skip_count))
 
 
@@ -577,9 +564,9 @@ def train(
     Built once per run and reused by every step and snapshot:
       * the class partition: per-class index arrays, class counts and the
         feature functional's sample weights 1 / (K n_y);
-      * the projected head (a validated DeqWeights for the equilibrium
-        head) and its preimage operator: the explicit head's conditioning
-        check, or the deq link I - W;
+      * the projected head and the preimage operator of the final state:
+        the explicit head's conditioning check, or the deq link I - W
+        (the deq head's diagnostic builds the link once per snapshot);
       * the NC metric constants (cosine pair index, normalized ETF
         target);
       * the head's slack term, constant because the head weight is;
@@ -603,7 +590,7 @@ def train(
         return _feature_norm(b, weights)
 
     trace = TrainTrace()
-    snapshots = _SnapshotBuffer(head, preimage, partition, cfg, z.size, trace.snapshots)
+    snapshots = _SnapshotBuffer(head, partition, cfg, z.size, trace.snapshots)
     losses = []
     # the updates run in place, so the loop owns its w and z (_project_raw
     # can return cls.w itself) and records copies of them
@@ -668,8 +655,16 @@ def train(
 # initialization
 # ---------------------------------------------------------------------------
 
+def _check_budget(name: str, budget: float) -> None:
+    # a budget sets the scale of a draw: 0 would draw all zeros, a negative
+    # budget flip signs; NaN fails the comparison too
+    if not 0.0 < budget < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {budget}")
+
+
 def initialize_classifier(k, d, e_w, rng) -> ClassifierWeights:
     """Gaussian rows rescaled so the mean-square functional sits at e_w / 2."""
+    _check_budget("e_w", e_w)
     w = rng.standard_normal((k, d))
     w *= math.sqrt(0.5 * e_w / classifier_mean_square(w))
     return ClassifierWeights(w=w)
@@ -684,20 +679,23 @@ def initialize_explicit_head(d, d0, e_h, rng) -> ExplicitHead:
     """
     if d0 < d:
         raise ValueError(f"explicit head needs d0 >= d, got d0={d0}, d={d}")
+    _check_budget("e_h", e_h)
     w = (e_h / math.sqrt(d)) * linalg.random_orthonormal(d0, d, rng).T
-    return ExplicitHead(w_ex=w)
+    return ExplicitHead(weight=w)
 
 
 def initialize_deq_head(d, e_h, rng, policy: SolverPolicy = SolverPolicy()) -> DeqHead:
     """Gaussian cell rescaled to half the Frobenius budget (a contraction
     whenever e_h < 2)."""
+    _check_budget("e_h", e_h)
     w = rng.standard_normal((d, d))
     w *= 0.5 * e_h / np.linalg.norm(w)
-    return DeqHead(weights=DeqWeights(w=w), policy=policy)
+    return DeqHead(weight=w, policy=policy)
 
 
 def initialize_features(labels, k, d0, feature_budget, rng) -> FeatureSet:
     """Gaussian columns rescaled so H0 itself sits at half the feature budget."""
+    _check_budget("feature_budget", feature_budget)
     labels = np.asarray(labels, dtype=np.int64)
     h0 = rng.standard_normal((d0, labels.shape[0]))
     h0 *= math.sqrt(0.5 * feature_budget / feature_norm_functional(h0, labels, k))

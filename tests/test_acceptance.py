@@ -82,10 +82,9 @@ def test_criterion_02_fixed_point_oracle():
         w = rng.standard_normal((d, d))
         sigma = np.linalg.svd(w, compute_uv=False)[0]
         w *= rng.uniform(0.05, 0.9) / sigma
-        weights = ck.DeqWeights(w=w)
         h0 = rng.standard_normal((d, int(rng.integers(1, 8))))
-        z_iter = ck.fixed_point_iterate(weights, h0, policy).z_star
-        z_exact = ck.fixed_point_closed_form(weights, h0)
+        z_iter = ck.fixed_point_iterate(w, h0, policy).z_star
+        z_exact = ck.fixed_point_closed_form(w, h0)
         worst = max(worst, float(np.linalg.norm(z_iter - z_exact)))
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-8 and elapsed < 10.0
@@ -104,7 +103,7 @@ def test_criterion_03_gradient_checks():
         cls = lpm.initialize_classifier(k, d, 1.0, rng)
         w_gauss = rng.standard_normal((d, d))
         w_head = 0.4 * w_gauss / np.linalg.norm(w_gauss)
-        for head in (ck.ExplicitHead(w_ex=w_head), ck.DeqHead(weights=ck.DeqWeights(w=w_head))):
+        for head in (ck.ExplicitHead(weight=w_head), ck.DeqHead(weight=w_head)):
             _, grads, _, _ = ck.loss_and_grads(features, head, cls)
 
             def loss_at(h0=None, head_w=None, w=None):

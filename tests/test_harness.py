@@ -145,6 +145,10 @@ class TestConfigParsing:
         ({"balanced_n": None, "k_a": 2, "k_b": 1, "n_a": 10, "r": 1}, "n_a > n_b"),
         ({"on_failure": "accept-last"}, "on_failure must be one of"),
         ({"balanced_n": None, "k_a": 2, "k_b": 1, "n_a": 10, "r": 5}, "minority"),
+        ({"name": ""}, "name must be one path component"),
+        ({"name": "."}, "name must be one path component"),
+        ({"name": ".."}, "name must be one path component"),
+        ({"name": "a/b"}, "name must be one path component"),
     ])
     def test_bad_values(self, overrides, message):
         raw = {k: v for k, v in dict(TINY, **overrides).items() if v is not None}
@@ -435,6 +439,21 @@ class TestSweep:
             run_sweep(tmp_path, max_workers=2)
         summary = json.loads((tmp_path / "sweep_summary.json").read_text())
         assert summary["bad.cfg"]["error"] == "ConfigError"
+
+    def test_run_names_stay_under_out(self, tmp_path, capsys):
+        cfgs = tmp_path / "cfgs"
+        cfgs.mkdir()
+        layout = ["head = explicit", "k = 3", "d0 = 6", "d = 6", "balanced_n = 3", "steps = 5"]
+        for stem, name in (("up", ".."), ("empty", ""), ("ok", "ok")):
+            _write_config(cfgs, layout + [f"name = {name}"], name=f"{stem}.cfg")
+        out = tmp_path / "out" / "sweep"
+        assert main(["sweep", str(cfgs), "--out", str(out), "--workers", "1", "--quiet"]) == 2
+        assert "name must be one path component" in capsys.readouterr().err
+        written = {p.relative_to(tmp_path).parts[:3] for p in tmp_path.rglob("*") if p.is_file()}
+        assert written == {("cfgs", f"{stem}.cfg") for stem in ("up", "empty", "ok")} | {
+            ("out", "sweep", "sweep_summary.json"), ("out", "sweep", "ok")}
+        summary = json.loads((out / "sweep_summary.json").read_text())
+        assert summary["up.cfg"]["error"] == summary["empty.cfg"]["error"] == "ConfigError"
 
     def test_sweep_empty_dir(self, tmp_path):
         with pytest.raises(ConfigError, match="no \\*.cfg"):

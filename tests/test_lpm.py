@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import collapsekit.lpm as lpm_mod
-from collapsekit.deq import DeqWeights, fixed_point_iterate
+from collapsekit.deq import SolverPolicy, fixed_point_iterate
 from collapsekit.errors import TrainingDivergedError
-from collapsekit.linalg import make_rng
+from collapsekit.linalg import make_rng, spectral_radius_bound
 from collapsekit.lpm import (
     ClassifierWeights,
     DeqHead,
@@ -44,7 +44,7 @@ def _small_instance(seed, k=3, n=4, d=6, head_kind="explicit", e_h=1.0, gaussian
         if gaussian_head:
             w = rng.standard_normal((d, d))
             w *= 0.5 * e_h / np.linalg.norm(w)
-            head = ExplicitHead(w_ex=w)
+            head = ExplicitHead(weight=w)
         else:
             head = initialize_explicit_head(d, d, e_h, rng)
     else:
@@ -162,7 +162,7 @@ class TestForward:
         labels = np.array([0, 1, 2])
         h0 = rng.standard_normal((3, 3))
         features = FeatureSet(h0=h0, labels=labels, k=3)
-        head = ExplicitHead(w_ex=np.eye(3))
+        head = ExplicitHead(weight=np.eye(3))
         cls = ClassifierWeights(w=np.eye(3))
         np.testing.assert_array_equal(forward(features, head, cls), h0)
 
@@ -172,8 +172,8 @@ class TestForward:
         h0 = rng.standard_normal((4, 6))
         features = FeatureSet(h0=h0, labels=labels, k=2)
         cls = ClassifierWeights(w=rng.standard_normal((2, 4)))
-        deq = DeqHead(weights=DeqWeights(w=np.zeros((4, 4))))
-        explicit = ExplicitHead(w_ex=np.eye(4))
+        deq = DeqHead(weight=np.zeros((4, 4)))
+        explicit = ExplicitHead(weight=np.eye(4))
         np.testing.assert_allclose(
             forward(features, deq, cls), forward(features, explicit, cls), atol=1e-12
         )
@@ -183,16 +183,16 @@ class TestForward:
         labels = np.repeat(np.arange(3), 2)
         h0 = rng.standard_normal((5, 6))
         features = FeatureSet(h0=h0, labels=labels, k=3)
-        w_ex = rng.standard_normal((5, 5)) * 0.1
+        w_head = rng.standard_normal((5, 5)) * 0.1
         w = rng.standard_normal((3, 5))
         cls = ClassifierWeights(w=w)
-        explicit = ExplicitHead(w_ex=w_ex)
+        explicit = ExplicitHead(weight=w_head)
         np.testing.assert_allclose(
-            forward(features, explicit, cls), w @ (w_ex @ h0), atol=1e-10
+            forward(features, explicit, cls), w @ (w_head @ h0), atol=1e-10
         )
         w_deq = rng.standard_normal((5, 5))
         w_deq *= 0.3 / np.linalg.norm(w_deq)
-        deq = DeqHead(weights=DeqWeights(w=w_deq))
+        deq = DeqHead(weight=w_deq)
         oracle = w @ np.linalg.solve(np.eye(5) - w_deq, h0)
         np.testing.assert_allclose(forward(features, deq, cls), oracle, atol=1e-10)
 
@@ -209,7 +209,7 @@ class TestProjection:
         f2, h2, c2 = project_feasible(features, head, cls, cfg)
         np.testing.assert_array_equal(f2.h0, features.h0)
         np.testing.assert_array_equal(c2.w, cls.w)
-        np.testing.assert_array_equal(h2.w_ex, head.w_ex)
+        np.testing.assert_array_equal(h2.weight, head.weight)
 
     def test_classifier_scaled_by_half(self):
         rng = make_rng(3)
@@ -225,14 +225,25 @@ class TestProjection:
         rng = make_rng(4)
         w = rng.standard_normal((5, 5))
         w *= 2.0 / np.linalg.norm(w)  # ||w|| = 2 = 2 * e_h
-        head = DeqHead(weights=DeqWeights(w=w))
+        head = DeqHead(weight=w)
         labels = np.repeat(np.arange(2), 3)
         features = FeatureSet(h0=make_rng(5).standard_normal((5, 6)), labels=labels, k=2)
         cls = ClassifierWeights(w=make_rng(6).standard_normal((2, 5)))
         cfg = self._cfg(e_w=100.0, e_h=1.0, feature_budget=100.0)
         _, h2, _ = project_feasible(features, head, cls, cfg)
-        np.testing.assert_allclose(h2.weights.w, 0.5 * w, rtol=1e-12)
-        assert h2.weights.sigma_max() < 1.0
+        np.testing.assert_allclose(h2.weight, 0.5 * w, rtol=1e-12)
+        assert spectral_radius_bound(h2.weight) < 1.0
+
+    def test_deq_head_keeps_its_policy(self):
+        policy = SolverPolicy(epsilon=1e-6, t_max=7, on_failure="error")
+        w = make_rng(9).standard_normal((4, 4))
+        w *= 2.0 / np.linalg.norm(w)  # ||w|| = 2 = 2 * e_h
+        head = DeqHead(weight=w, policy=policy)
+        features, _, cls = _small_instance(8, k=2, d=4)
+        cfg = self._cfg(e_w=100.0, e_h=1.0, feature_budget=100.0)
+        _, h2, _ = project_feasible(features, head, cls, cfg)
+        assert type(h2) is DeqHead and h2.policy == policy
+        np.testing.assert_allclose(h2.weight, 0.5 * w, rtol=1e-12)
 
     def test_feature_ball_on_post_head_features(self):
         features, head, cls = _small_instance(7)
@@ -250,13 +261,13 @@ class TestProjection:
             h0 = rng.standard_normal((6, 12)) * 3.0
             features = FeatureSet(h0=h0, labels=labels, k=3)
             cls = ClassifierWeights(w=rng.standard_normal((3, 6)) * 2.0)
-            w_ex = rng.standard_normal((6, 6)) * 2.0
-            head = ExplicitHead(w_ex=w_ex)
+            w_head = rng.standard_normal((6, 6)) * 2.0
+            head = ExplicitHead(weight=w_head)
             cfg = self._cfg()
             once = project_feasible(features, head, cls, cfg)
             twice = project_feasible(*once, cfg)
             np.testing.assert_array_equal(once[0].h0, twice[0].h0)
-            np.testing.assert_array_equal(once[1].w_ex, twice[1].w_ex)
+            np.testing.assert_array_equal(once[1].weight, twice[1].weight)
             np.testing.assert_array_equal(once[2].w, twice[2].w)
 
 
@@ -516,7 +527,7 @@ class TestSnapshotParity:
         if isinstance(trace.head, DeqHead):
             policy = trace.head.policy
             h0 = head_preimage(trace.head, z) if h0 is None else h0
-            result = fixed_point_iterate(trace.head.weights, h0, policy)
+            result = fixed_point_iterate(trace.head.weight, h0, policy)
             iters = float(result.iterations)
             skips = int(np.count_nonzero(result.column_residuals > policy.epsilon))
         return TraceSnapshot(step, report, iters, skips)
@@ -657,14 +668,14 @@ class TestInitializers:
 
     def test_explicit_head_is_scaled_orthogonal_on_ball(self):
         head = initialize_explicit_head(6, 6, 1.5, make_rng(2))
-        assert np.linalg.norm(head.w_ex) == pytest.approx(1.5, rel=1e-12)
-        sv = np.linalg.svd(head.w_ex, compute_uv=False)
+        assert np.linalg.norm(head.weight) == pytest.approx(1.5, rel=1e-12)
+        sv = np.linalg.svd(head.weight, compute_uv=False)
         np.testing.assert_allclose(sv, sv[0], rtol=1e-10)
 
     def test_deq_head_at_half_budget(self):
         head = initialize_deq_head(6, 0.5, make_rng(3))
-        assert np.linalg.norm(head.weights.w) == pytest.approx(0.25, rel=1e-12)
-        assert head.weights.sigma_max() < 1.0
+        assert np.linalg.norm(head.weight) == pytest.approx(0.25, rel=1e-12)
+        assert spectral_radius_bound(head.weight) < 1.0
 
     def test_preimage_roundtrip(self):
         rng = make_rng(4)
@@ -676,6 +687,17 @@ class TestInitializers:
         ):
             h0 = head_preimage(head, z)
             np.testing.assert_allclose(head_features(head, h0), z, atol=1e-10)
+
+    @pytest.mark.parametrize("budget", [0.0, -1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("name, init", [
+        ("e_w", lambda b, rng: initialize_classifier(3, 4, b, rng)),
+        ("e_h", lambda b, rng: initialize_explicit_head(4, 4, b, rng)),
+        ("e_h", lambda b, rng: initialize_deq_head(4, b, rng)),
+        ("feature_budget", lambda b, rng: initialize_features(np.arange(3), 3, 4, b, rng)),
+    ], ids=["classifier", "explicit_head", "deq_head", "features"])
+    def test_budget_must_be_positive_and_finite(self, name, init, budget):
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+            init(budget, make_rng(0))
 
 
 class TestPreimageRoundTrip:
