@@ -7,7 +7,8 @@ Subcommands:
     bound-check           print the balanced loss floors for both heads
     lemma-fuzz            random search for violations of the log-share bound
     export-gram <run-dir> write the sample and class-mean Gram CSVs from
-                          saved state (runs write only the class-mean Gram)
+                          saved state (runs write only the class-mean Gram);
+                          --quiet leaves out the list of written files
 
 Exit codes: 0 success, 1 check failed, 2 config error (a bad config file or
 command-line value), 3 training divergence, 4 solver non-convergence under
@@ -80,6 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "export-gram", help="write the sample and class-mean Gram CSVs from saved state"
     )
     export.add_argument("run_dir")
+    export.add_argument("--quiet", action="store_true", help="do not print the written paths")
     return parser
 
 
@@ -183,8 +185,9 @@ def _cmd_lemma_fuzz(args) -> int:
 
 def _cmd_export_gram(args) -> int:
     written = harness.reexport_grams(args.run_dir)
-    for path in written:
-        print(path)
+    if not args.quiet:
+        for path in written:
+            print(path)
     return 0
 
 

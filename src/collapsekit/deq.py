@@ -9,6 +9,10 @@ closed form instead of a Jacobian approximation.
 
 Every function takes W as a plain array, validated by square_weight;
 lpm.DeqHead holds that array with the SolverPolicy of its diagnostic.
+There is one Picard loop, fixed_point_iterate_blocks: it iterates a stack
+of D x N blocks, each stopping at its own iteration with the bits of its
+own solve. fixed_point_iterate runs it on one block, and the deq head's
+training diagnostic on each chunk of snapshots.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DivergenceError, SolverConvergenceError
-from .linalg import as_matrix, solve_linear, spectral_radius_bound
+from .linalg import as_matrix, frobenius_norms, solve_linear, spectral_radius_bound
 
 ON_FAILURE_CHOICES = ("skip", "error")
 
@@ -107,33 +111,84 @@ def fixed_point_iterate(w, h0, policy: SolverPolicy) -> FixedPointResult:
     iterations; the convergence flag and residual are reported honestly
     either way. With on_failure="error" a non-converged solve raises;
     "skip" leaves the handling to the caller, which can consult
-    column_residuals for individual samples.
+    column_residuals for individual samples. It runs
+    fixed_point_iterate_blocks on a stack of this one block.
     """
     w, h0 = square_weight(w), as_matrix(h0, "h0")
     if h0.shape[0] != w.shape[0]:
         raise ValueError(f"h0 has {h0.shape[0]} rows, head expects {w.shape[0]}")
-    z = h0.copy()
-    for iterations in range(1, policy.t_max + 1):
-        z_next = w @ z + h0
-        delta = z_next - z
-        residual = float(np.linalg.norm(delta))
-        z = z_next
-        if residual <= policy.epsilon:
-            break
-    column_residuals = np.linalg.norm(delta, axis=0)
-    converged = residual <= policy.epsilon
-    if not converged and policy.on_failure == "error":
-        raise SolverConvergenceError(
-            f"fixed point not reached: residual {residual:.3e} > {policy.epsilon:.3e} "
-            f"after {iterations} iterations"
-        )
-    return FixedPointResult(
-        z_star=z,
-        iterations=iterations,
-        residual=residual,
-        converged=converged,
-        column_residuals=column_residuals,
+    z, z_next = np.empty((2, 1) + h0.shape)
+    # a stack of one block is never reordered, so h0 is read only
+    iterations, residuals, column_residuals, z = fixed_point_iterate_blocks(
+        w, h0[None], policy, z, z_next
     )
+    residual = float(residuals[0])
+    return FixedPointResult(
+        z_star=z[0],
+        iterations=int(iterations[0]),
+        residual=residual,
+        converged=residual <= policy.epsilon,
+        column_residuals=column_residuals[0],
+    )
+
+
+def fixed_point_iterate_blocks(w, h0: np.ndarray, policy: SolverPolicy,
+                               z: np.ndarray, z_next: np.ndarray):
+    """fixed_point_iterate on every D x N block of a (B, D, N) stack h0 in
+    one loop, each block stopping at its own iteration.
+
+    Every pass multiplies the blocks still iterating as one stack, and each
+    block gets the iterations, residual and column residuals, bit for bit,
+    of its own 2-D solve. The loop runs in the caller's float64 arrays: z
+    and z_next hold at least B blocks of work, and h0 is reordered in place
+    (the blocks still iterating are moved to its front). With
+    on_failure="error", the first unconverged block in stack order raises
+    with the message of its own solve.
+
+    Returns (iterations, residuals, column_residuals, z_last): B ints, B
+    floats, a B x N array, and the work array whose first block holds the
+    last iterate of a one-block stack.
+    """
+    w = square_weight(w)
+    count = h0.shape[0]
+    iterations = np.zeros(count, dtype=np.int64)
+    residuals = np.empty(count)
+    column_residuals = np.empty((count, h0.shape[2]))
+    active = np.arange(count)  # the stack index of each block in front
+    z[:count] = h0
+    for t in range(1, policy.t_max + 1):
+        m = active.size
+        z_new = np.matmul(w, z[:m], out=z_next[:m])
+        z_new += h0[:m]
+        delta = np.subtract(z_new, z[:m], out=z[:m])
+        norms = frobenius_norms(delta)
+        done = norms <= policy.epsilon
+        if t == policy.t_max:
+            done[:] = True
+        z, z_next = z_next, z
+        if not done.any():
+            continue
+        for j in np.flatnonzero(done):
+            block = active[j]
+            iterations[block] = t
+            residuals[block] = norms[j]
+            column_residuals[block] = np.linalg.norm(delta[j], axis=0)
+        keep = np.flatnonzero(~done)
+        if not keep.size:
+            break
+        for front, j in enumerate(keep):
+            if front != j:
+                z[front] = z[j]
+                h0[front] = h0[j]
+        active = active[keep]
+    unconverged = np.flatnonzero(~(residuals <= policy.epsilon))
+    if unconverged.size and policy.on_failure == "error":
+        block = unconverged[0]
+        raise SolverConvergenceError(
+            f"fixed point not reached: residual {residuals[block]:.3e} > "
+            f"{policy.epsilon:.3e} after {iterations[block]} iterations"
+        )
+    return iterations, residuals, column_residuals, z
 
 
 def head_gradient(w, h0, upstream):

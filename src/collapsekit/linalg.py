@@ -38,9 +38,14 @@ def as_stack(a, name: str = "matrix") -> np.ndarray:
         raise ValueError(f"{name} must be at least 2-D, got ndim={m.ndim}")
     if m.shape[-2] < 1 or m.shape[-1] < 1:
         raise ValueError(f"{name} must have at least one row and column, got {m.shape}")
+    check_finite(m, name)
+    return m
+
+
+def check_finite(m: np.ndarray, name: str = "matrix") -> None:
+    """Raise ValueError when the array m has a NaN or infinite entry."""
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{name} contains non-finite entries")
-    return m
 
 
 def frobenius_norms(m: np.ndarray) -> np.ndarray:

@@ -19,10 +19,12 @@ optimum (see the chain-rule gradients in loss_and_grads, which remain the
 public differentiation API and are verified against finite differences).
 
 Snapshots are recorded, not evaluated, when train() takes them: a record
-holds the step's z and w with the logits and loss the training loop
-computes for that state anyway. Pending records are evaluated in chunks,
-the NC metrics of a chunk in one stacked pass (NcReporter.reports), each
-state with the bits it would get alone.
+copies the step's z and w, with the logits the training loop computes for
+that state anyway, into the next slot of arrays the run allocates once, and
+keeps its loss. Pending records are evaluated in chunks: the NC metrics of
+a chunk in one stacked pass (NcReporter.reports), and the head's solver
+diagnostic in one more (the deq head's Picard loop over the chunk's
+preimages), each state with the bits it would get alone.
 
 Two determinism details are deliberate:
   * reductions over the class axis run in a canonical row order, so a
@@ -49,9 +51,10 @@ from typing import Optional
 import numpy as np
 
 from . import deq, linalg
-from .deq import SolverPolicy, fixed_point_iterate
+from .deq import SolverPolicy
+from .deq import fixed_point_iterate  # noqa: F401  (lpm.fixed_point_iterate: wrapped by perfbench/tracer.py)
 from .errors import TrainingDivergedError
-from .linalg import DEFAULT_PINV_CUTOFF, as_matrix, check_conditioning
+from .linalg import DEFAULT_PINV_CUTOFF, as_matrix, check_conditioning, check_finite
 from .linalg import solve_linear  # noqa: F401  (lpm.solve_linear: wrapped by perfbench/tracer.py)
 from .metrics import ClassPartition, NcReport, NcReporter
 from .metrics import nc_report  # noqa: F401  (lpm.nc_report: wrapped by perfbench/tracer.py)
@@ -62,7 +65,7 @@ from .metrics import nc_report  # noqa: F401  (lpm.nc_report: wrapped by perfben
 # train() evaluates its snapshots in stacked chunks whose features hold at
 # most this many float64 elements (256 KB): 10 states at K=10, N=200, D=16,
 # and one at N=1535. Only the D x N features are counted; a chunk's K x N
-# logits and the copies its evaluation makes come on top. A chunk capped by
+# logits and the work arrays of its evaluation come on top. A chunk capped by
 # count alone raised peak memory at large N.
 SNAPSHOT_CHUNK_ELEMENTS = 2**15
 
@@ -71,7 +74,10 @@ SNAPSHOT_CHUNK_ELEMENTS = 2**15
 # parameter blocks
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+# The parameter blocks compare and hash by identity (eq=False): a generated
+# __eq__ would compare their arrays as a tuple, which raises.
+
+@dataclass(frozen=True, eq=False)
 class FeatureSet:
     """Backbone features (one column per sample) with their class labels."""
 
@@ -101,7 +107,7 @@ class FeatureSet:
         return self.h0.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClassifierWeights:
     """Last-layer classifier W, one row per class; TrainConfig.e_w budgets
     its mean-square row norm (1/K) sum_k ||w_k||^2."""
@@ -112,7 +118,7 @@ class ClassifierWeights:
         object.__setattr__(self, "w", as_matrix(self.w, "w"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HeadModel:
     """The block both heads share: the head weight, whose Frobenius budget
     is TrainConfig.e_h. Each head adds its maps:
@@ -121,8 +127,13 @@ class HeadModel:
       preimage_operator()  the map z -> H0 with apply(H0) = z, constants built once
       backward(upstream, h0)
                            (grad_head, grad_h0) of <upstream, apply(h0)>
-      diagnostic(z, h0)    a snapshot's (solver iterations, skip count); h0 is
-                           z's preimage, or None to take it from preimage_operator
+      diagnostic_operator(capacity, n)
+                           the map (Z, given) -> one (solver iterations, skip
+                           count) per state of a chunk: a (B, D, N) stack Z
+                           with B <= capacity. given holds (b, h0) pairs,
+                           h0 being state b's preimage where it is known;
+                           the other preimages come from the link. Its
+                           constants and work arrays are built once.
     """
 
     weight: np.ndarray
@@ -163,15 +174,16 @@ class ExplicitHead(HeadModel):
     def backward(self, upstream, h0) -> tuple:
         return upstream @ h0.T, self.weight.T @ upstream
 
-    def diagnostic(self, z, h0) -> tuple:
-        return 0.0, 0
+    def diagnostic_operator(self, capacity, n):
+        """No solver: zeros for every state of the chunk."""
+        return lambda z, given: [(0.0, 0)] * z.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DeqHead(HeadModel):
     """Equilibrium head z = W z + h0 with a square weight W. The forward
     solves the equilibrium in closed form; the policy governs the Picard
-    diagnostic of each training snapshot."""
+    diagnostic of the training snapshots, run once per chunk of them."""
 
     policy: SolverPolicy = SolverPolicy()
 
@@ -189,15 +201,31 @@ class DeqHead(HeadModel):
     def backward(self, upstream, h0) -> tuple:
         return deq.head_gradient(self.weight, h0, upstream)
 
-    def diagnostic(self, z, h0) -> tuple:
-        """Picard iteration under the head's policy, which raises when it does
-        not converge and on_failure is "error"; skips are the columns whose
-        last update exceeds epsilon."""
-        if h0 is None:
-            h0 = self.preimage_operator()(z)
-        result = fixed_point_iterate(self.weight, h0, self.policy)
-        skips = np.count_nonzero(result.column_residuals > self.policy.epsilon)
-        return float(result.iterations), int(skips)
+    def diagnostic_operator(self, capacity, n):
+        """Picard iteration under the head's policy from each state's
+        preimage: one batched link product (I - W) @ Z, then one loop over
+        the chunk (deq.fixed_point_iterate_blocks), in which each state
+        stops at its own iteration with the bits of fixed_point_iterate on
+        it alone. The first unconverged state in step order raises when
+        on_failure is "error"; skips are the columns whose last update
+        exceeds epsilon. The link and the three (capacity, D, N) work
+        arrays are built once."""
+        weight, policy = self.weight, self.policy
+        link = np.eye(self.d) - weight
+        h0, z, z_next = np.empty((3, capacity, self.d, n))
+
+        def diagnose(states, given):
+            count = states.shape[0]
+            np.matmul(link, states, out=h0[:count])
+            for b, state_h0 in given:
+                h0[b] = state_h0
+            iterations, _, column_residuals, _ = deq.fixed_point_iterate_blocks(
+                weight, h0[:count], policy, z, z_next
+            )
+            skips = np.count_nonzero(column_residuals > policy.epsilon, axis=1)
+            return list(zip(iterations.astype(float).tolist(), skips.tolist()))
+
+        return diagnose
 
 
 @dataclass(frozen=True)
@@ -229,8 +257,9 @@ class TrainConfig:
             raise ValueError("learning_rate must be non-negative")
         if self.steps < 1:
             raise ValueError("steps must be at least 1")
-        if not all(budget > 0.0 for budget in (self.e_w, self.e_h, self.feature_budget)):
-            raise ValueError("budgets must be positive")
+        budgets = (self.e_w, self.e_h, self.feature_budget)
+        if not all(0.0 < budget < math.inf for budget in budgets):  # NaN fails too
+            raise ValueError("budgets must be positive and finite")
         if self.log_every < 1:
             raise ValueError("log_every must be at least 1")
         if not (0.0 <= self.momentum < 1.0):
@@ -299,16 +328,19 @@ class ClassSum:
     holding a NaN, are re-sorted: their values by np.sort, as _sum_classes
     would, and their order by argsort. Ties between equal values can land
     in either order; their bits are equal, or they are zeros of both signs,
-    whose ascending sum does not depend on their order.
+    whose ascending sum does not depend on their order. The sorted values
+    are taken into an array the instance owns.
     """
 
     def __init__(self, k: int, n: int):
         self.n = n
         # index[r, j] = j + N * (row of column j's r-th smallest entry)
         self.index = np.arange(k * n).reshape(k, n)
+        self.sorted = np.empty((k, n))
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        srt = x.take(self.index)
+        # mode="clip" writes into the array directly; the index is in range
+        srt = x.take(self.index, out=self.sorted, mode="clip")
         moved = np.flatnonzero(~np.logical_and.reduce(srt[1:] >= srt[:-1], axis=0))
         if moved.size:
             cols = x[:, moved]
@@ -339,15 +371,18 @@ def _true_class_index(labels: np.ndarray, n: int) -> np.ndarray:
     return labels * n + np.arange(n)
 
 
-def _softmax_terms(logits: np.ndarray, picks: np.ndarray, class_sum=_sum_classes):
+def _softmax_terms(logits: np.ndarray, picks: np.ndarray, class_sum=_sum_classes,
+                   out=(None, None)):
     """Per-sample cross-entropy, exp(max-shifted logits) and its class sums.
 
     The one softmax kernel behind cross_entropy, the training step and
     loss_and_grads; picks is _true_class_index(labels, N), and class_sum is
-    _sum_classes or the training run's ClassSum.
+    _sum_classes or the training run's ClassSum. out holds the K x N arrays
+    the shifted logits and their exp are written to, or None to allocate
+    them.
     """
-    shifted = logits - logits.max(axis=0, keepdims=True)
-    exp = np.exp(shifted)
+    shifted = np.subtract(logits, logits.max(axis=0, keepdims=True), out=out[0])
+    exp = np.exp(shifted, out=out[1])
     denom = class_sum(exp)
     return np.log(denom) - shifted.take(picks), exp, denom
 
@@ -356,25 +391,31 @@ def _softmax_terms(logits: np.ndarray, picks: np.ndarray, class_sum=_sum_classes
 # raw-array core (the training loop avoids re-validating dataclasses per step)
 # ---------------------------------------------------------------------------
 
-def _logit_grads(exp, denom, picks, n, w, z):
+def _logit_grads(exp, denom, picks, n, w, z, out=(None, None)):
     """Gradients (grad_w, grad_z) of the mean cross-entropy of logits w @ z,
     from _softmax_terms' exp (overwritten) and denom; grad_z contracts the
-    class axis in canonical order."""
+    class axis in canonical order. out holds the K x N array of the
+    reordered gradient rows and the D x N array of grad_z, or None to
+    allocate them."""
     g = np.divide(exp, denom, out=exp)
     g.reshape(-1)[picks] -= 1.0
     g /= n
     order = _class_order(w)
-    return g @ z.T, w[order].T @ g[order]
+    # mode="clip" writes into out[0] directly; the order is in range
+    g_ordered = np.take(g, order, axis=0, out=out[0], mode="clip")
+    return g @ z.T, np.matmul(w[order].T, g_ordered, out=out[1])
 
 
-def _shrink_to_ball(block: np.ndarray, value_fn, budget: float, squared: bool):
+def _shrink_to_ball(block: np.ndarray, value_fn, budget: float, squared: bool,
+                    out: Optional[np.ndarray] = None):
     """Radially rescale block until value_fn(block) <= budget.
 
     Returns the block and value_fn of that block. The shrink factor is
     re-applied until the recomputed functional clears the budget or stops
     moving, which makes the projection an exact floating-point fixed point
     (projecting twice == projecting once) whenever the value clears the
-    budget.
+    budget. A rescale is written to out, which may be block itself, or to
+    a new array when out is None.
     """
     value = value_fn(block)
     for _ in range(4):
@@ -384,7 +425,7 @@ def _shrink_to_ball(block: np.ndarray, value_fn, budget: float, squared: bool):
         factor = math.sqrt(factor) if squared else factor
         if factor >= 1.0:
             break
-        block = block * factor
+        block = np.multiply(block, factor, out=out)
         new_value = value_fn(block)
         stalled = new_value >= value
         value = new_value
@@ -502,37 +543,55 @@ class _SnapshotBuffer:
     """train()'s snapshot records, evaluated in stacked chunks and
     appended in step order to snapshots (see train).
 
-    pending holds (step, z, w, logits, loss, h0) per record, h0 given at
-    step 0 only; a later record's h0 is None, and the head's diagnostic
-    takes z's preimage itself. The run's metric constants are built once.
+    A record copies its z, w and logits into the next slot of the chunk's
+    (chunk, D, N), (chunk, K, D) and (chunk, K, N) arrays, and keeps its
+    step, its loss and, at step 0 only, its given h0. The chunk holds as
+    many states as SNAPSHOT_CHUNK_ELEMENTS allows, or as the run takes.
+    These arrays, the run's metric constants and the work arrays of the
+    metrics and of the head's diagnostic are built once per run.
     """
 
     def __init__(self, head: HeadModel, partition: ClassPartition,
-                 cfg: TrainConfig, feature_size: int, snapshots: list):
+                 cfg: TrainConfig, k: int, z_shape: tuple, snapshots: list):
+        d, n = z_shape
+        taken = cfg.steps // cfg.log_every + 1 + (cfg.steps % cfg.log_every > 0)
+        chunk = min(taken, max(1, SNAPSHOT_CHUNK_ELEMENTS // (d * n)))
+        self.z = np.empty((chunk, d, n))
+        self.w = np.empty((chunk, k, d))
+        self.logits = np.empty((chunk, k, n))
         self.reporter = NcReporter.build(partition, cfg.metric_cutoff, cfg.minority_classes)
-        self.head = head
-        self.chunk = max(1, SNAPSHOT_CHUNK_ELEMENTS // feature_size)
-        self.pending = []
+        self.diagnose = head.diagnostic_operator(chunk, n)
+        self.steps, self.losses, self.given = [], [], []
         self.snapshots = snapshots
 
     def record(self, step, z, w, logits, loss, h0=None) -> None:
         """Take a snapshot of the state (z, w) with its logits w @ z and its
         loss, and evaluate the pending ones once they fill a chunk; a
         non-finite z or w raises ValueError here."""
-        z, w = as_matrix(z, "features"), as_matrix(w, "w")
-        self.pending.append((step, z, w, logits, loss, h0))
-        if len(self.pending) == self.chunk:
+        slot = len(self.steps)
+        self.z[slot] = z
+        self.w[slot] = w
+        check_finite(self.z[slot], "features")
+        check_finite(self.w[slot], "w")
+        self.logits[slot] = logits
+        self.steps.append(step)
+        self.losses.append(loss)
+        if h0 is not None:
+            self.given.append((slot, h0))
+        if slot + 1 == self.z.shape[0]:
             self.flush()
 
     def flush(self) -> None:
         """Evaluate every pending record in one stacked pass."""
-        if not self.pending:
+        count = len(self.steps)
+        if not count:
             return
-        steps, zs, ws, logits, losses, h0s = zip(*self.pending)
-        self.pending = []
-        reports = self.reporter.reports(np.stack(zs), np.stack(ws), np.stack(logits), losses)
-        for step, z, h0, report in zip(steps, zs, h0s, reports):
-            mean_iters, skip_count = self.head.diagnostic(z, h0)
+        steps, losses, given = self.steps, self.losses, self.given
+        self.steps, self.losses, self.given = [], [], []
+        z = self.z[:count]
+        reports = self.reporter.reports(z, self.w[:count], self.logits[:count], losses)
+        diagnostics = self.diagnose(z, given)
+        for step, report, (mean_iters, skip_count) in zip(steps, reports, diagnostics):
             self.snapshots.append(TraceSnapshot(step, report, mean_iters, skip_count))
 
 
@@ -558,21 +617,31 @@ def train(
     its state, and evaluated later. Pending records are evaluated in one
     stacked pass once their features fill SNAPSHOT_CHUNK_ELEMENTS, at the
     end of training, and before TrainingDivergedError is raised. The head's
-    diagnostic runs per snapshot: the deq head's Picard solve, whose
-    SolverConvergenceError under on_failure="error" ends the run.
+    diagnostic runs once per chunk: the deq head's Picard loop over the
+    chunk's preimages, whose SolverConvergenceError under
+    on_failure="error" ends the run.
 
     Built once per run and reused by every step and snapshot:
       * the class partition: per-class index arrays, class counts and the
         feature functional's sample weights 1 / (K n_y);
       * the projected head and the preimage operator of the final state:
-        the explicit head's conditioning check, or the deq link I - W
-        (the deq head's diagnostic builds the link once per snapshot);
-      * the NC metric constants (cosine pair index, normalized ETF
-        target);
+        the explicit head's conditioning check, or the deq link I - W;
+      * the snapshot chunk's record arrays, the NC metric constants (cosine
+        pair index, normalized ETF target) and the array of the centered
+        features;
+      * the head's diagnostic operator: for the deq head, its own link
+        I - W and the preimage and Picard work arrays of a chunk;
       * the head's slack term, constant because the head weight is;
       * the true-class flat index, the ClassSum that keeps each column's
-        class order from step to step, and the buffers the momentum and
-        position updates write in place.
+        class order from step to step (with its sorted-values array), the
+        buffers the momentum and position updates write in place, and the
+        step's K x N and D x N work arrays (logits, shifted logits, their
+        exp, reordered gradient rows, grad_z). The projections rescale w
+        and z in place.
+    A step thus allocates no K x N or D x N float array: depending on a
+    run's earlier allocations, glibc serves such a temporary (above 128 KB
+    at N in the thousands) from a fresh mapping or from heap memory it
+    trims again, and the next step faults it in anew.
     Each projection returns its functional's value, which the slack reuses.
     """
     labels, k = features.labels, features.k
@@ -590,13 +659,17 @@ def train(
         return _feature_norm(b, weights)
 
     trace = TrainTrace()
-    snapshots = _SnapshotBuffer(head, partition, cfg, z.size, trace.snapshots)
+    snapshots = _SnapshotBuffer(head, partition, cfg, k, z.shape, trace.snapshots)
     losses = []
-    # the updates run in place, so the loop owns its w and z (_project_raw
-    # can return cls.w itself) and records copies of them
+    # the updates and projections run in place, so the loop owns its w and
+    # z (_project_raw can return cls.w itself); a record copies them
     w, z = np.copy(w), np.copy(z)
     v_w, v_z = np.zeros_like(w), np.zeros_like(z)
     step_w, step_z = np.empty_like(w), np.empty_like(z)
+    # the step's work arrays: logits, shifted logits, their exp and the
+    # reordered gradient rows (K x N), and grad_z (D x N)
+    logits, shifted, exp, g_ordered = np.empty((4, k, n))
+    grad_z = np.empty_like(z)
     slack_max = 0.0
 
     def finalize():
@@ -613,12 +686,11 @@ def train(
     # iteration `step` takes the loss of the state after `step` updates,
     # records that state if it is a snapshot step, and applies update step + 1
     for step in range(cfg.steps + 1):
-        logits = w @ z
-        per_sample, exp, denom = _softmax_terms(logits, picks, class_sum)
+        np.matmul(w, z, out=logits)
+        per_sample, exp, denom = _softmax_terms(logits, picks, class_sum, (shifted, exp))
         loss = float(np.add.reduce(per_sample) / n)
         if step % cfg.log_every == 0 or step == cfg.steps:
-            snapshots.record(step, np.copy(z), np.copy(w), logits, loss,
-                             h0 if step == 0 else None)
+            snapshots.record(step, z, w, logits, loss, h0 if step == 0 else None)
         if step == cfg.steps:
             break
         if not math.isfinite(loss):
@@ -628,7 +700,7 @@ def train(
             )
         losses.append(loss)
 
-        gw, gz = _logit_grads(exp, denom, picks, n, w, z)
+        gw, gz = _logit_grads(exp, denom, picks, n, w, z, (g_ordered, grad_z))
 
         # v = momentum * v + grad; x = x - learning_rate * v
         np.multiply(v_w, cfg.momentum, out=v_w)
@@ -638,8 +710,8 @@ def train(
         w -= np.multiply(v_w, cfg.learning_rate, out=step_w)
         z -= np.multiply(v_z, cfg.learning_rate, out=step_z)
 
-        w, w_value = _shrink_to_ball(w, classifier_mean_square, cfg.e_w, squared=True)
-        z, z_value = _shrink_to_ball(z, feature_norm, cfg.feature_budget, squared=True)
+        w, w_value = _shrink_to_ball(w, classifier_mean_square, cfg.e_w, True, w)
+        z, z_value = _shrink_to_ball(z, feature_norm, cfg.feature_budget, True, z)
         slack_max = max(
             slack_max,
             w_value / cfg.e_w - 1.0,

@@ -10,7 +10,7 @@ convention does not).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -131,14 +131,19 @@ def _transpose(x: np.ndarray) -> np.ndarray:
     return x.swapaxes(-1, -2)
 
 
-def _class_statistics(h: np.ndarray, partition: ClassPartition) -> ClassStatistics:
+def _class_statistics(h: np.ndarray, partition: ClassPartition,
+                      centered: Optional[np.ndarray] = None) -> ClassStatistics:
     """Statistics of D x N features or of a B x D x N stack of them; every
-    matrix of a stack gets the bits of its own 2-D call."""
+    matrix of a stack gets the bits of its own 2-D call. centered, an array
+    of h's shape, receives the centered features; without it one is
+    allocated."""
     n, k = h.shape[-1], partition.k
     means = partition.class_means(h)
     global_mean = means.mean(axis=-1)
 
-    centered = h - means[..., partition.labels]
+    # mode="clip" writes into centered directly; the labels are in range
+    centered = np.take(means, partition.labels, axis=-1, out=centered, mode="clip")
+    centered = np.subtract(h, centered, out=centered)
     sigma_w = (centered @ _transpose(centered)) / n
     dev = means - global_mean[..., None]
     sigma_b = (dev @ _transpose(dev)) / k
@@ -266,13 +271,18 @@ def minority_collapse_index(w, minority_classes: Sequence[int]) -> float:
 class NcReporter:
     """The per-run constants of nc_report, built once and applied to every
     snapshot: the class partition, the cosine rows and their flat pair
-    index, and the normalized ETF target."""
+    index, and the normalized ETF target. The reporter also owns the array
+    its stacks' centered features are computed in, allocated by the first
+    stack and again only for a larger one."""
 
     partition: ClassPartition
     cutoff: float
     cosine_rows: np.ndarray
     cosine_pairs: np.ndarray
     etf_target: np.ndarray
+    _centered: Optional[np.ndarray] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @classmethod
     def build(cls, partition: ClassPartition, cutoff: float,
@@ -295,7 +305,11 @@ class NcReporter:
         Each report has the bits its state gets when evaluated alone, as
         nc_report does with B = 1.
         """
-        stats = _class_statistics(h, self.partition)
+        work = self._centered
+        if work is None or work.shape[0] < h.shape[0] or work.shape[1:] != h.shape[1:]:
+            work = np.empty(h.shape)
+            object.__setattr__(self, "_centered", work)
+        stats = _class_statistics(h, self.partition, work[:h.shape[0]])
         means = stats.class_means
         means_norm = frobenius_norms(means)
         nc1_values = _nc1(stats, self.cutoff).tolist()

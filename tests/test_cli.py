@@ -181,6 +181,15 @@ class TestExportGram:
             assert (out / head / "gram_samples.csv").is_file()
             assert str(out / head / "gram_samples.csv") in printed
 
+    def test_quiet_writes_and_prints_nothing(self, tmp_path, capsys):
+        cfg = _write(tmp_path, "demo.cfg", _cfg_lines(head="both", e_h=0.5))
+        out = tmp_path / "out"
+        main(["run", str(cfg), "--out", str(out), "--quiet"])
+        assert main(["export-gram", str(out), "--quiet"]) == 0
+        assert capsys.readouterr() == ("", "")
+        for head in ("explicit", "deq"):
+            assert (out / head / "gram_samples.csv").is_file()
+
     def test_missing_state_exit_2(self, tmp_path, capsys):
         assert main(["export-gram", str(tmp_path)]) == 2
         assert "config error" in capsys.readouterr().err

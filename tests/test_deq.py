@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from collapsekit.deq import (
     SolverPolicy,
     fixed_point_closed_form,
     fixed_point_iterate,
+    fixed_point_iterate_blocks,
     head_gradient,
     resolvent,
 )
@@ -189,6 +192,80 @@ class TestIterate:
                 assert residual <= sigma * prev + 1e-15
             prev = residual
             z = z_next
+
+
+class TestIterateBlocks:
+    """One Picard loop over a stack of blocks: each block stops at its own
+    iteration with the bits of fixed_point_iterate on it alone."""
+
+    T_MAX = 15
+
+    @classmethod
+    def _stack(cls):
+        rng = make_rng(13)
+        w = _random_contraction(rng, 5, 0.6)
+        # block scales from 1e-8 to 1e4 stop after 1 to 12 iterations; the
+        # last block's huge columns cannot converge in T_MAX, its tiny ones
+        # converge at once
+        scales = np.array([1.0, 1e-8, 1e4, 1e-3, 1.0, 1.0])[:, None, None]
+        h0 = scales * rng.standard_normal((6, 5, 7))
+        h0[-1, :, :3] *= 1e12
+        h0[-1, :, 3:] *= 1e-12
+        return w, h0
+
+    @staticmethod
+    def _run(w, h0, policy):
+        # work arrays with room for more blocks than the stack holds, as a
+        # chunk's remainder has
+        z, z_next = np.empty((2, h0.shape[0] + 2) + h0.shape[1:])
+        return fixed_point_iterate_blocks(w, h0.copy(), policy, z, z_next)
+
+    @staticmethod
+    def _plain_solve(w, h0, policy):
+        # the 2-D Picard loop written out, independent of deq's
+        z = h0.copy()
+        for iterations in range(1, policy.t_max + 1):
+            z_next = w @ z + h0
+            delta, z = z_next - z, z_next
+            residual = np.linalg.norm(delta)
+            if residual <= policy.epsilon:
+                break
+        return iterations, residual, np.linalg.norm(delta, axis=0)
+
+    def test_each_block_matches_its_own_solve(self):
+        w, h0 = self._stack()
+        policy = SolverPolicy(epsilon=1e-6, t_max=self.T_MAX)
+        iterations, residuals, column_residuals, _ = self._run(w, h0, policy)
+        for b in range(h0.shape[0]):
+            alone = fixed_point_iterate(w, h0[b], policy)
+            assert iterations[b] == alone.iterations
+            assert residuals[b].tobytes() == np.float64(alone.residual).tobytes()
+            assert column_residuals[b].tobytes() == alone.column_residuals.tobytes()
+            plain = self._plain_solve(w, h0[b], policy)
+            assert (iterations[b], residuals[b].tobytes(), column_residuals[b].tobytes()) == (
+                plain[0], plain[1].tobytes(), plain[2].tobytes()
+            )
+        assert len(set(iterations.tolist())) >= 4
+        assert iterations[-1] == self.T_MAX
+        skipped = np.count_nonzero(column_residuals[-1] > policy.epsilon)
+        assert skipped == 3
+
+    def test_error_names_the_first_unconverged_block(self):
+        w, h0 = self._stack()
+        h0 = h0[1:]  # a converging block first
+        policy = SolverPolicy(epsilon=1e-6, t_max=3, on_failure="error")
+        residuals = [
+            fixed_point_iterate(w, block, replace(policy, on_failure="skip")).residual
+            for block in h0
+        ]
+        unconverged = [b for b, residual in enumerate(residuals) if residual > policy.epsilon]
+        # the first unconverged block is neither the first block nor the worst one
+        assert unconverged[0] == 1 and np.argmax(residuals) != 1
+        with pytest.raises(SolverConvergenceError) as alone:
+            fixed_point_iterate(w, h0[unconverged[0]], policy)
+        with pytest.raises(SolverConvergenceError) as stacked:
+            self._run(w, h0, policy)
+        assert str(stacked.value) == str(alone.value)
 
 
 class TestHeadGradient:

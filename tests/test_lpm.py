@@ -608,6 +608,74 @@ class TestSnapshotParity:
         assert replace(last, report=replace(last.report, loss=expected.report.loss)) == expected
 
 
+class TestSnapshotBuffer:
+    @pytest.mark.parametrize("head_kind", ["explicit", "deq"])
+    def test_chunks_share_one_run_owned_buffer(self, monkeypatch, head_kind):
+        counts = (9, 4, 2, 1)
+        features, head, cls, e_h = TestSnapshotParity._instance(head_kind, counts)
+        monkeypatch.setattr(lpm_mod, "SNAPSHOT_CHUNK_ELEMENTS", 4 * 6 * sum(counts))
+        buffers, chunks = set(), []
+        record = lpm_mod._SnapshotBuffer.record
+        reports = NcReporter.reports
+
+        def recording(buffer, *args):
+            buffers.add(buffer)
+            return record(buffer, *args)
+
+        def keeping(reporter, h, w, logits, losses):
+            chunks.append(h)
+            return reports(reporter, h, w, logits, losses)
+
+        monkeypatch.setattr(lpm_mod._SnapshotBuffer, "record", recording)
+        monkeypatch.setattr(NcReporter, "reports", keeping)
+        cfg = TrainConfig(learning_rate=0.05, steps=27, e_h=e_h, log_every=3)
+        train(features, head, cls, cfg)
+
+        assert [h.shape[0] for h in chunks] == [4, 4, 2]
+        (buffer,) = buffers
+        assert all(np.shares_memory(h, buffer.z) for h in chunks)
+
+
+class TestStepWorkArrays:
+    @pytest.mark.parametrize("head_kind", ["explicit", "deq"])
+    def test_every_step_reuses_the_same_arrays(self, monkeypatch, head_kind):
+        # a step's K x N and D x N temporaries are the run's work arrays, so
+        # the allocator has nothing large to map or trim from step to step
+        features, head, cls = _small_instance(3, k=4, n=5, d=8, head_kind=head_kind, e_h=0.5)
+        exps, grads_z, shrinks = [], [], []
+        softmax_terms, logit_grads = lpm_mod._softmax_terms, lpm_mod._logit_grads
+        shrink = lpm_mod._shrink_to_ball
+
+        def keeping_exp(*args):
+            per_sample, exp, denom = softmax_terms(*args)
+            exps.append(exp)
+            return per_sample, exp, denom
+
+        def keeping_grad_z(*args):
+            gw, gz = logit_grads(*args)
+            grads_z.append(gz)
+            return gw, gz
+
+        def keeping_shrink(block, *args, **kwargs):
+            out, value = shrink(block, *args, **kwargs)
+            if block.shape == (8, 20):
+                shrinks.append((block, out, value))
+            return out, value
+
+        monkeypatch.setattr(lpm_mod, "_softmax_terms", keeping_exp)
+        monkeypatch.setattr(lpm_mod, "_logit_grads", keeping_grad_z)
+        monkeypatch.setattr(lpm_mod, "_shrink_to_ball", keeping_shrink)
+        cfg = TrainConfig(learning_rate=0.5, steps=30, e_h=0.5, feature_budget=0.5)
+        train(features, head, cls, cfg)
+
+        assert len({id(exp) for exp in exps}) == 1
+        assert len({id(gz) for gz in grads_z}) == 1
+        # after the initial projection of H0, the loop rescales z in place
+        loop = shrinks[1:]
+        assert len(loop) == 30 and all(out is block for block, out, _ in loop)
+        assert any(abs(value - cfg.feature_budget) < 1e-12 for _, _, value in loop)
+
+
 class TestShrinkToBall:
     # name -> (value_fn over a K x D block, squared); "feature" treats the
     # block as D x N features with labels i mod D
@@ -752,3 +820,18 @@ class TestValidation:
                 TrainConfig(**{budget: nan})
         # learning_rate = 0 is allowed: it is the no-op training idiom
         TrainConfig(learning_rate=0.0)
+        for budget in ("e_w", "e_h", "feature_budget"):
+            with pytest.raises(ValueError, match="budgets must be positive and finite"):
+                TrainConfig(**{budget: float("inf")})
+
+    @pytest.mark.parametrize("build", [
+        lambda: FeatureSet(h0=np.eye(2), labels=[0, 1], k=2),
+        lambda: ClassifierWeights(w=np.eye(2)),
+        lambda: ExplicitHead(weight=np.eye(2)),
+        lambda: DeqHead(weight=0.5 * np.eye(2)),
+    ], ids=["FeatureSet", "ClassifierWeights", "ExplicitHead", "DeqHead"])
+    def test_blocks_compare_by_identity(self, build):
+        block, twin = build(), build()
+        assert block == block
+        assert block != twin  # equal arrays, distinct blocks: no ambiguous truth value
+        assert len({block, twin, block}) == 2

@@ -3,8 +3,8 @@
     python tools/reference_runs.py OUT
 
 Each entry of RUNS becomes OUT/configs/<name>.cfg and runs into OUT/<name>
-under its preset (PRESETS, else desk), and `export-gram` then writes the
-sample Grams of the runs in EXPORT_GRAM. Then `sweep --write-grid --seed 6`
+under its preset (PRESETS, else desk), and `export-gram --quiet` then
+writes the sample Grams of the runs in EXPORT_GRAM. Then `sweep --write-grid --seed 6`
 writes the nine imbalance-grid configs to OUT/grid-configs and runs their
 head jobs on a two-worker pool into OUT/grid, and the same grid runs again
 in-process (`--workers 1`) into OUT/grid-serial. Every command runs with
@@ -63,6 +63,14 @@ RUNS = {
         e_h=0.5, feature_budget=0.5, log_every=7, epsilon=1e-9, t_max=2,
         on_failure="skip", seed=1,
     ),
+    # the deq head's Picard diagnostic over several snapshot chunks (61
+    # snapshots: chunks of 17, 17, 17 and 10); epsilon lies among the
+    # snapshots' third-iteration residuals, so states stop after 3 or 4
+    # iterations, both within the first chunk
+    "deq-chunks": dict(
+        _DESK, head="deq", k=4, d0=16, d=16, balanced_n=30, steps=600,
+        e_h=0.5, feature_budget=0.5, log_every=10, epsilon=1.5e-3, seed=2,
+    ),
     # the paper preset and every default: only the required keys are given
     "paper-defaults": dict(head="both", k=4, k_a=2, k_b=2, n_a=20, r=4,
                            steps=400, log_every=50),
@@ -115,7 +123,7 @@ def main(argv=None) -> int:
         if code:
             return code
     for name in EXPORT_GRAM:
-        code = _collapsekit("export-gram", out / name, cwd=out)
+        code = _collapsekit("export-gram", out / name, "--quiet", cwd=out)
         if code:
             return code
     code = _collapsekit("sweep", out / "grid-configs", "--write-grid", "--seed", GRID_SEED,
