@@ -22,7 +22,7 @@ import numpy as np
 
 from .etf import etf_gram, gram_distance_to_etf
 from .linalg import as_matrix, make_rng
-from .metrics import class_means
+from .metrics import check_labels, class_means
 
 
 # ---------------------------------------------------------------------------
@@ -170,8 +170,8 @@ def constants_from_logits(logits, labels, k: int) -> BoundConstants:
     the others, then applies the tight-ratio formula at that mean gap.
     """
     logits = as_matrix(logits, "logits")
-    labels = np.asarray(labels, dtype=np.int64)
     n = logits.shape[1]
+    labels = check_labels(labels, k, n)
     cols = np.arange(n)
     true_logit = logits[labels, cols]
     other_mean = (logits.sum(axis=0) - true_logit) / (k - 1)

@@ -10,9 +10,9 @@ closed form instead of a Jacobian approximation.
 Every function takes W as a plain array, validated by square_weight;
 lpm.DeqHead holds that array with the SolverPolicy of its diagnostic.
 There is one Picard loop, fixed_point_iterate_blocks: it iterates a stack
-of D x N blocks, each stopping at its own iteration with the bits of its
-own solve. fixed_point_iterate runs it on one block, and the deq head's
-training diagnostic on each chunk of snapshots.
+of D x N blocks in fixed slots, each block stopping at its own iteration
+with the bits of its own solve. fixed_point_iterate runs it on one block,
+and the deq head's training diagnostic on each chunk of snapshots.
 """
 
 from __future__ import annotations
@@ -118,7 +118,6 @@ def fixed_point_iterate(w, h0, policy: SolverPolicy) -> FixedPointResult:
     if h0.shape[0] != w.shape[0]:
         raise ValueError(f"h0 has {h0.shape[0]} rows, head expects {w.shape[0]}")
     z, z_next = np.empty((2, 1) + h0.shape)
-    # a stack of one block is never reordered, so h0 is read only
     iterations, residuals, column_residuals, z = fixed_point_iterate_blocks(
         w, h0[None], policy, z, z_next
     )
@@ -137,50 +136,38 @@ def fixed_point_iterate_blocks(w, h0: np.ndarray, policy: SolverPolicy,
     """fixed_point_iterate on every D x N block of a (B, D, N) stack h0 in
     one loop, each block stopping at its own iteration.
 
-    Every pass multiplies the blocks still iterating as one stack, and each
-    block gets the iterations, residual and column residuals, bit for bit,
-    of its own 2-D solve. The loop runs in the caller's float64 arrays: z
-    and z_next hold at least B blocks of work, and h0 is reordered in place
-    (the blocks still iterating are moved to its front). With
-    on_failure="error", the first unconverged block in stack order raises
-    with the message of its own solve.
+    Every pass multiplies the whole stack, each block in its own slot. A
+    block's iterations, residual and column residuals are recorded on the
+    pass where it stops, bit for bit those of its own 2-D solve, and the
+    loop ends once every block has stopped. The loop runs in the caller's
+    float64 work arrays z and z_next, which hold at least B blocks; h0 is
+    only read. With on_failure="error", the first unconverged block in
+    stack order raises with the message of its own solve.
 
     Returns (iterations, residuals, column_residuals, z_last): B ints, B
-    floats, a B x N array, and the work array whose first block holds the
-    last iterate of a one-block stack.
+    floats, a B x N array, and the last pass's B iterates (the last iterate
+    of its own solve for a one-block stack).
     """
     w = square_weight(w)
     count = h0.shape[0]
     iterations = np.zeros(count, dtype=np.int64)
     residuals = np.empty(count)
     column_residuals = np.empty((count, h0.shape[2]))
-    active = np.arange(count)  # the stack index of each block in front
-    z[:count] = h0
+    z, z_next = z[:count], z_next[:count]
+    z[...] = h0
     for t in range(1, policy.t_max + 1):
-        m = active.size
-        z_new = np.matmul(w, z[:m], out=z_next[:m])
-        z_new += h0[:m]
-        delta = np.subtract(z_new, z[:m], out=z[:m])
+        z_new = np.matmul(w, z, out=z_next)
+        z_new += h0
+        delta = np.subtract(z_new, z, out=z)
         norms = frobenius_norms(delta)
-        done = norms <= policy.epsilon
-        if t == policy.t_max:
-            done[:] = True
+        stops = ((norms <= policy.epsilon) | (t == policy.t_max)) & (iterations == 0)
+        for b in np.flatnonzero(stops):
+            iterations[b] = t
+            residuals[b] = norms[b]
+            column_residuals[b] = np.linalg.norm(delta[b], axis=0)
         z, z_next = z_next, z
-        if not done.any():
-            continue
-        for j in np.flatnonzero(done):
-            block = active[j]
-            iterations[block] = t
-            residuals[block] = norms[j]
-            column_residuals[block] = np.linalg.norm(delta[j], axis=0)
-        keep = np.flatnonzero(~done)
-        if not keep.size:
+        if iterations.all():
             break
-        for front, j in enumerate(keep):
-            if front != j:
-                z[front] = z[j]
-                h0[front] = h0[j]
-        active = active[keep]
     unconverged = np.flatnonzero(~(residuals <= policy.epsilon))
     if unconverged.size and policy.on_failure == "error":
         block = unconverged[0]

@@ -61,7 +61,7 @@ from .errors import ConfigError
 from .etf import gram_distance_to_etf_raw
 from .linalg import make_rng
 from .lpm import FeatureSet, TrainConfig, TrainTrace
-from .metrics import class_means
+from .metrics import ClassPartition
 
 HEAD_CHOICES = ("explicit", "deq", "both")
 
@@ -338,16 +338,18 @@ def export_gram(features_h, labels, out_dir) -> tuple:
 
     Returns (samples_path, means_path). The sample Gram is N x N repr()
     text, re-parsed in full for validation, so runs leave it to
-    `collapsekit export-gram`.
+    `collapsekit export-gram`. The labels form a ClassPartition of K =
+    max label + 1 classes, whose order sorts the samples.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     h = np.asarray(features_h, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    means = class_means(h, labels, int(labels.max()) + 1)
+    partition = ClassPartition.build(labels, int(labels.max()) + 1, h.shape[1])
+    means = partition.class_means(h)
     means_path = out_dir / "gram_class_means.csv"
     _write_gram_csv(means_path, means.T @ means)
-    h_sorted = h[:, np.argsort(labels, kind="stable")]
+    h_sorted = h[:, partition.order]
     samples_path = out_dir / "gram_samples.csv"
     _write_gram_csv(samples_path, h_sorted.T @ h_sorted)
     return samples_path, means_path
@@ -496,7 +498,7 @@ def _sweep_worker(job) -> tuple:
     rng = make_rng(cfg.train.seed)
     features = synthesize_dataset(cfg, rng)
     h0_sha = hashlib.sha256(np.ascontiguousarray(features.h0).tobytes()).hexdigest()
-    means0 = class_means(features.h0, features.labels, cfg.k)
+    means0 = features.partition.class_means(features.h0)
     cls_init = lpm.initialize_classifier(cfg.k, cfg.d, cfg.train.e_w, rng)
     head = lpm.initialize_explicit_head(cfg.d, cfg.d0, cfg.train.e_h, rng)
     if head_name == "deq":
@@ -506,7 +508,7 @@ def _sweep_worker(job) -> tuple:
     trace_path = run_dir / "trace.csv"
     write_trace_csv(trace, cfg.k, trace_path)
     h_final = lpm.head_features(trace.head, trace.features.h0)
-    means = class_means(h_final, trace.features.labels, cfg.k)
+    means = trace.features.partition.class_means(h_final)
     _write_gram_csv(run_dir / "gram_class_means.csv", means.T @ means)
     np.savez(run_dir / f"state_{head_name}.npz", h=h_final, h0=trace.features.h0,
              labels=trace.features.labels, w=trace.classifier.w, head_w=trace.head.weight)
@@ -598,8 +600,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> RunRecord:
 def reexport_grams(run_dir) -> list:
     """Write the sample and class-mean Gram CSVs of a finished run from its
     state_*.npz files (one pair per head directory). A state file that is
-    truncated, lacks an array or holds labels that do not match h is a
-    ConfigError naming it."""
+    truncated, lacks an array, or holds an h that is not 2-D or labels
+    that ClassPartition rejects is a ConfigError naming it."""
     run_dir = Path(run_dir)
     states = sorted(run_dir.rglob("state_*.npz"))
     if not states:
@@ -611,10 +613,12 @@ def reexport_grams(run_dir) -> list:
                 h, labels = state["h"], state["labels"]
         except (zipfile.BadZipFile, KeyError, ValueError, EOFError) as exc:
             raise ConfigError(f"cannot read {state_path}: {exc}") from exc
-        if h.ndim != 2 or labels.shape != h.shape[1:]:
-            raise ConfigError(f"{state_path}: labels of shape {labels.shape} do not match "
-                              f"h of shape {h.shape}")
-        written.extend(export_gram(h, labels, state_path.parent))
+        if h.ndim != 2:
+            raise ConfigError(f"{state_path}: h of shape {h.shape} is not 2-D")
+        try:
+            written.extend(export_gram(h, labels, state_path.parent))
+        except ValueError as exc:  # labels the class partition rejects
+            raise ConfigError(f"{state_path}: {exc}") from exc
     return written
 
 

@@ -18,6 +18,9 @@ in rank-deficient constrained stationary points far from the program's
 optimum (see the chain-rule gradients in loss_and_grads, which remain the
 public differentiation API and are verified against finite differences).
 
+A FeatureSet checks its labels once, by building their ClassPartition;
+every per-class reduction of a run reads that partition.
+
 Snapshots are recorded, not evaluated, when train() takes them: a record
 copies the step's z and w, with the logits the training loop computes for
 that state anyway, into the next slot of arrays the run allocates once, and
@@ -56,7 +59,7 @@ from .deq import fixed_point_iterate  # noqa: F401  (lpm.fixed_point_iterate: wr
 from .errors import TrainingDivergedError
 from .linalg import DEFAULT_PINV_CUTOFF, as_matrix, check_conditioning, check_finite
 from .linalg import solve_linear  # noqa: F401  (lpm.solve_linear: wrapped by perfbench/tracer.py)
-from .metrics import ClassPartition, NcReport, NcReporter
+from .metrics import ClassPartition, NcReport, NcReporter, check_labels
 from .metrics import nc_report  # noqa: F401  (lpm.nc_report: wrapped by perfbench/tracer.py)
 
 # The heads look deq.fixed_point_closed_form and linalg.pseudo_inverse up
@@ -79,28 +82,27 @@ SNAPSHOT_CHUNK_ELEMENTS = 2**15
 
 @dataclass(frozen=True, eq=False)
 class FeatureSet:
-    """Backbone features (one column per sample) with their class labels."""
+    """Backbone features (one column per sample) with their class labels
+    and the ClassPartition that checks them. A partition passed in is kept
+    if it holds these very labels (as replace(features, h0=...) passes
+    them) for the columns of h0, and rebuilt otherwise."""
 
     h0: np.ndarray
     labels: np.ndarray
     k: int
+    partition: Optional[ClassPartition] = field(default=None, repr=False)
 
     def __post_init__(self):
         h0 = as_matrix(self.h0, "h0")
-        labels = np.asarray(self.labels, dtype=np.int64)
-        if labels.ndim != 1 or labels.shape[0] != h0.shape[1]:
-            raise ValueError(
-                f"labels must be 1-D with one entry per column, got {labels.shape}"
-            )
         if self.k < 2:
             raise ValueError(f"need at least two classes, got k={self.k}")
-        if labels.min() < 0 or labels.max() >= self.k:
-            raise ValueError(f"labels must lie in [0, {self.k})")
-        counts = np.bincount(labels, minlength=self.k)
-        if np.any(counts == 0):
-            raise ValueError(f"every class needs at least one sample, counts={counts}")
+        partition = self.partition
+        if (partition is None or partition.labels is not self.labels
+                or partition.k != self.k or partition.labels.shape != (h0.shape[1],)):
+            partition = ClassPartition.build(self.labels, self.k, h0.shape[1])
         object.__setattr__(self, "h0", h0)
-        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "labels", partition.labels)
+        object.__setattr__(self, "partition", partition)
 
     @property
     def n_total(self) -> int:
@@ -363,7 +365,7 @@ def _feature_norm(h: np.ndarray, weights: np.ndarray) -> float:
 
 def feature_norm_functional(h: np.ndarray, labels: np.ndarray, k: int) -> float:
     """(1/K) sum_k (1/n_k) sum_{i in k} ||h_i||^2, accumulated in sample order."""
-    return _feature_norm(h, ClassPartition.build(labels, k).weights)
+    return _feature_norm(h, ClassPartition.build(labels, k, h.shape[1]).weights)
 
 
 def _true_class_index(labels: np.ndarray, n: int) -> np.ndarray:
@@ -415,11 +417,12 @@ def _shrink_to_ball(block: np.ndarray, value_fn, budget: float, squared: bool,
     moving, which makes the projection an exact floating-point fixed point
     (projecting twice == projecting once) whenever the value clears the
     budget. A rescale is written to out, which may be block itself, or to
-    a new array when out is None.
+    a new array when out is None. A block whose functional is not finite
+    is returned as it is, with that value: a factor of 0 would zero it.
     """
     value = value_fn(block)
     for _ in range(4):
-        if value <= budget:
+        if value <= budget or not math.isfinite(value):
             break
         factor = budget / value
         factor = math.sqrt(factor) if squared else factor
@@ -475,7 +478,7 @@ def head_features(head: HeadModel, h0) -> np.ndarray:
 def cross_entropy(logits, labels) -> float:
     """Mean negative log-softmax of the true-class logit, max-shift stabilized."""
     logits = as_matrix(logits, "logits")
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = check_labels(labels, *logits.shape)
     per_sample, _, _ = _softmax_terms(logits, _true_class_index(labels, logits.shape[1]))
     return float(np.add.reduce(per_sample) / logits.shape[1])
 
@@ -484,7 +487,7 @@ def accuracy(logits, labels) -> float:
     """Fraction of columns whose argmax matches the label; argmax ties break
     toward the lowest class index."""
     logits = as_matrix(logits, "logits")
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = check_labels(labels, *logits.shape)
     return float(np.mean(np.argmax(logits, axis=0) == labels))
 
 
@@ -527,11 +530,10 @@ def project_feasible(
     Classifier and head shrink radially when over budget; the feature ball
     constrains the post-head features, so H0 is rescaled by the factor that
     puts head(H0) exactly on the boundary (the head is linear, so scaling H0
-    scales head(H0) by the same factor). Blocks inside their balls are
-    returned untouched.
+    scales head(H0) by the same factor). Blocks inside their balls, and
+    blocks whose functional is not finite, are returned untouched.
     """
-    weights = ClassPartition.build(features.labels, features.k).weights
-    h0, head, w = _project_raw(features.h0, weights, head, cls.w, cfg)
+    h0, head, w = _project_raw(features.h0, features.partition.weights, head, cls.w, cfg)
     if h0 is not features.h0:
         features = replace(features, h0=h0)
     if w is not cls.w:
@@ -548,18 +550,20 @@ class _SnapshotBuffer:
     step, its loss and, at step 0 only, its given h0. The chunk holds as
     many states as SNAPSHOT_CHUNK_ELEMENTS allows, or as the run takes.
     These arrays, the run's metric constants and the work arrays of the
-    metrics and of the head's diagnostic are built once per run.
+    metrics and of the head's diagnostic are built once per run, all sized
+    for one chunk; the class partition is the run's FeatureSet's.
     """
 
     def __init__(self, head: HeadModel, partition: ClassPartition,
-                 cfg: TrainConfig, k: int, z_shape: tuple, snapshots: list):
+                 cfg: TrainConfig, z_shape: tuple, snapshots: list):
         d, n = z_shape
         taken = cfg.steps // cfg.log_every + 1 + (cfg.steps % cfg.log_every > 0)
         chunk = min(taken, max(1, SNAPSHOT_CHUNK_ELEMENTS // (d * n)))
         self.z = np.empty((chunk, d, n))
-        self.w = np.empty((chunk, k, d))
-        self.logits = np.empty((chunk, k, n))
-        self.reporter = NcReporter.build(partition, cfg.metric_cutoff, cfg.minority_classes)
+        self.w = np.empty((chunk, partition.k, d))
+        self.logits = np.empty((chunk, partition.k, n))
+        self.reporter = NcReporter.build(partition, cfg.metric_cutoff,
+                                         cfg.minority_classes, chunk, d)
         self.diagnose = head.diagnostic_operator(chunk, n)
         self.steps, self.losses, self.given = [], [], []
         self.snapshots = snapshots
@@ -608,10 +612,10 @@ def train(
     recorded state, and the head weight holds its feasible initialization
     (its gradient in these coordinates is identically zero). Projections run
     after every update; snapshots are taken at step 0, every cfg.log_every
-    steps, and at the final step. A non-finite z or w at a snapshot step
-    raises ValueError at that step. A non-finite loss aborts with
-    TrainingDivergedError carrying the trace collected so far: every
-    snapshot taken before it.
+    steps, and at the final step. An update that leaves a ball functional
+    non-finite (a non-finite or overflowing z or w) aborts at that step
+    with TrainingDivergedError, as does a non-finite loss; the error
+    carries the trace collected so far: every snapshot taken before it.
 
     A snapshot is recorded with the logits and loss the loop computes for
     its state, and evaluated later. Pending records are evaluated in one
@@ -621,9 +625,8 @@ def train(
     chunk's preimages, whose SolverConvergenceError under
     on_failure="error" ends the run.
 
-    Built once per run and reused by every step and snapshot:
-      * the class partition: per-class index arrays, class counts and the
-        feature functional's sample weights 1 / (K n_y);
+    The class partition is the FeatureSet's. Built once per run and reused
+    by every step and snapshot:
       * the projected head and the preimage operator of the final state:
         the explicit head's conditioning check, or the deq link I - W;
       * the snapshot chunk's record arrays, the NC metric constants (cosine
@@ -644,8 +647,7 @@ def train(
     trims again, and the next step faults it in anew.
     Each projection returns its functional's value, which the slack reuses.
     """
-    labels, k = features.labels, features.k
-    partition = ClassPartition.build(labels, k)
+    labels, k, partition = features.labels, features.k, features.partition
     weights = partition.weights
     h0, head, w = _project_raw(features.h0, weights, head, cls.w, cfg)
     z = head.apply(h0)
@@ -659,7 +661,7 @@ def train(
         return _feature_norm(b, weights)
 
     trace = TrainTrace()
-    snapshots = _SnapshotBuffer(head, partition, cfg, k, z.shape, trace.snapshots)
+    snapshots = _SnapshotBuffer(head, partition, cfg, z.shape, trace.snapshots)
     losses = []
     # the updates and projections run in place, so the loop owns its w and
     # z (_project_raw can return cls.w itself); a record copies them
@@ -672,16 +674,15 @@ def train(
     grad_z = np.empty_like(z)
     slack_max = 0.0
 
-    def finalize():
+    def finalize(usable=True):
         snapshots.flush()
         trace.loss_history = np.asarray(losses)
         trace.feasibility_slack_max = slack_max
-        if np.all(np.isfinite(z)) and np.all(np.isfinite(w)):
+        if usable and np.all(np.isfinite(z)) and np.all(np.isfinite(w)):
             trace.features = replace(features, h0=preimage(z))
             trace.head = head
             trace.classifier = ClassifierWeights(w=w)
-        # on a non-finite abort the last valid snapshot already holds the
-        # most recent usable state
+        # on an abort the last snapshot holds the most recent usable state
 
     # iteration `step` takes the loss of the state after `step` updates,
     # records that state if it is a snapshot step, and applies update step + 1
@@ -712,6 +713,9 @@ def train(
 
         w, w_value = _shrink_to_ball(w, classifier_mean_square, cfg.e_w, True, w)
         z, z_value = _shrink_to_ball(z, feature_norm, cfg.feature_budget, True, z)
+        if not (math.isfinite(w_value) and math.isfinite(z_value)):
+            finalize(usable=False)
+            raise TrainingDivergedError(f"update left float range at step {step + 1}", trace=trace)
         slack_max = max(
             slack_max,
             w_value / cfg.e_w - 1.0,
@@ -768,7 +772,7 @@ def initialize_deq_head(d, e_h, rng, policy: SolverPolicy = SolverPolicy()) -> D
 def initialize_features(labels, k, d0, feature_budget, rng) -> FeatureSet:
     """Gaussian columns rescaled so H0 itself sits at half the feature budget."""
     _check_budget("feature_budget", feature_budget)
-    labels = np.asarray(labels, dtype=np.int64)
-    h0 = rng.standard_normal((d0, labels.shape[0]))
-    h0 *= math.sqrt(0.5 * feature_budget / feature_norm_functional(h0, labels, k))
-    return FeatureSet(h0=h0, labels=labels, k=k)
+    partition = ClassPartition.build(labels, k)
+    h0 = rng.standard_normal((d0, partition.labels.shape[0]))
+    h0 *= math.sqrt(0.5 * feature_budget / _feature_norm(h0, partition.weights))
+    return FeatureSet(h0=h0, labels=partition.labels, k=k, partition=partition)

@@ -63,10 +63,13 @@ class NcReport:
         }
 
 
-def _validate_labels(labels, n: int, k: int) -> np.ndarray:
+def check_labels(labels, k: int, n: Optional[int] = None) -> np.ndarray:
+    """labels as a 1-D int64 array of n entries (when given) in [0, k);
+    alone, without ClassPartition's check, for a batch that may miss a class."""
     labels = np.asarray(labels, dtype=np.int64)
-    if labels.shape != (n,):
-        raise ValueError(f"labels must have shape ({n},), got {labels.shape}")
+    if labels.ndim != 1 or (n is not None and labels.shape[0] != n):
+        entries = "" if n is None else f" with {n} entries"
+        raise ValueError(f"labels must be 1-D{entries}, got shape {labels.shape}")
     if labels.min(initial=0) < 0 or labels.max(initial=-1) >= k:
         raise ValueError(f"labels must lie in [0, {k})")
     return labels
@@ -74,21 +77,24 @@ def _validate_labels(labels, n: int, k: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ClassPartition:
-    """Samples grouped by class, built once per label vector.
+    """Samples grouped by class, built once per label vector; build is the
+    one label check (check_labels with n samples, and no class empty).
 
-    index[c] holds the columns of class c in sample order; weights holds
+    order holds the columns class by class, each in sample order (a stable
+    argsort of the labels), index[c] those of class c; weights holds
     1 / (K n_y) per sample, the weight of sample i in the feature functional.
     """
 
     labels: np.ndarray   # N
     k: int
+    order: np.ndarray    # N
     index: tuple         # K index arrays
     counts: np.ndarray   # K
     weights: np.ndarray  # N
 
     @classmethod
-    def build(cls, labels, k: int) -> "ClassPartition":
-        labels = np.asarray(labels, dtype=np.int64)
+    def build(cls, labels, k: int, n: Optional[int] = None) -> "ClassPartition":
+        labels = check_labels(labels, k, n)
         counts = np.bincount(labels, minlength=k)
         if np.any(counts == 0):
             empty = np.flatnonzero(counts == 0)
@@ -97,7 +103,7 @@ class ClassPartition:
             )
         order = np.argsort(labels, kind="stable")
         index = tuple(np.split(order, np.cumsum(counts)[:-1]))
-        return cls(labels, k, index, counts, 1.0 / (k * counts[labels]))
+        return cls(labels, k, order, index, counts, 1.0 / (k * counts[labels]))
 
     def class_means(self, h: np.ndarray) -> np.ndarray:
         """D x K class means of D x N features (B x D x K of a B x D x N
@@ -124,7 +130,8 @@ class ClassPartition:
 
 def class_means(features_h, labels, k: int) -> np.ndarray:
     """D x K per-class means of the feature columns."""
-    return ClassPartition.build(labels, k).class_means(np.asarray(features_h, dtype=np.float64))
+    h = np.asarray(features_h, dtype=np.float64)
+    return ClassPartition.build(labels, k, h.shape[-1]).class_means(h)
 
 
 def _transpose(x: np.ndarray) -> np.ndarray:
@@ -132,11 +139,10 @@ def _transpose(x: np.ndarray) -> np.ndarray:
 
 
 def _class_statistics(h: np.ndarray, partition: ClassPartition,
-                      centered: Optional[np.ndarray] = None) -> ClassStatistics:
+                      centered: np.ndarray) -> ClassStatistics:
     """Statistics of D x N features or of a B x D x N stack of them; every
     matrix of a stack gets the bits of its own 2-D call. centered, an array
-    of h's shape, receives the centered features; without it one is
-    allocated."""
+    of h's shape, receives the centered features."""
     n, k = h.shape[-1], partition.k
     means = partition.class_means(h)
     global_mean = means.mean(axis=-1)
@@ -168,8 +174,7 @@ def class_statistics(features_h, labels, k: Optional[int] = None) -> ClassStatis
     h = as_matrix(features_h, "features")
     if k is None:
         k = int(np.max(labels)) + 1
-    labels = _validate_labels(labels, h.shape[1], k)
-    return _class_statistics(h, ClassPartition.build(labels, k))
+    return _class_statistics(h, ClassPartition.build(labels, k, h.shape[1]), np.empty(h.shape))
 
 
 def _nc1(stats: ClassStatistics, cutoff: float) -> np.ndarray:
@@ -271,22 +276,21 @@ def minority_collapse_index(w, minority_classes: Sequence[int]) -> float:
 class NcReporter:
     """The per-run constants of nc_report, built once and applied to every
     snapshot: the class partition, the cosine rows and their flat pair
-    index, and the normalized ETF target. The reporter also owns the array
-    its stacks' centered features are computed in, allocated by the first
-    stack and again only for a larger one."""
+    index, and the normalized ETF target. The reporter also owns the
+    (capacity, D, N) array its stacks' centered features are computed in,
+    allocated once by build; a stack holds at most capacity states."""
 
     partition: ClassPartition
     cutoff: float
     cosine_rows: np.ndarray
     cosine_pairs: np.ndarray
     etf_target: np.ndarray
-    _centered: Optional[np.ndarray] = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    centered: np.ndarray = field(repr=False, compare=False)
 
     @classmethod
     def build(cls, partition: ClassPartition, cutoff: float,
-              minority_classes: Optional[Sequence[int]]) -> "NcReporter":
+              minority_classes: Optional[Sequence[int]], capacity: int,
+              d: int) -> "NcReporter":
         k = partition.k
         rows = _cosine_rows(minority_classes if minority_classes is not None else range(k))
         return cls(
@@ -295,21 +299,18 @@ class NcReporter:
             cosine_rows=rows,
             cosine_pairs=_pair_index(rows.size),
             etf_target=etf.normalized_etf_gram(k),
+            centered=np.empty((capacity, d, partition.labels.shape[0])),
         )
 
     def reports(self, h: np.ndarray, w: np.ndarray, logits: np.ndarray, losses) -> list:
         """The reports of B states at once, from validated B x D x N
         features h whose labels are the partition's, B x K x D classifiers
-        w, B x K x N logits and B losses.
+        w, B x K x N logits and B losses, with B at most the capacity.
 
         Each report has the bits its state gets when evaluated alone, as
         nc_report does with B = 1.
         """
-        work = self._centered
-        if work is None or work.shape[0] < h.shape[0] or work.shape[1:] != h.shape[1:]:
-            work = np.empty(h.shape)
-            object.__setattr__(self, "_centered", work)
-        stats = _class_statistics(h, self.partition, work[:h.shape[0]])
+        stats = _class_statistics(h, self.partition, self.centered[:h.shape[0]])
         means = stats.class_means
         means_norm = frobenius_norms(means)
         nc1_values = _nc1(stats, self.cutoff).tolist()
@@ -351,7 +352,6 @@ def nc_report(
     h = as_matrix(features_h, "features")
     w = as_matrix(w, "w")
     logits = as_matrix(logits, "logits")
-    k = w.shape[0]
-    labels = _validate_labels(labels, h.shape[1], k)
-    reporter = NcReporter.build(ClassPartition.build(labels, k), cutoff, minority_classes)
+    partition = ClassPartition.build(labels, w.shape[0], h.shape[1])
+    reporter = NcReporter.build(partition, cutoff, minority_classes, 1, h.shape[0])
     return reporter.reports(h[None], w[None], logits[None], [loss])[0]

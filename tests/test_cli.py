@@ -201,13 +201,20 @@ class TestExportGram:
             return
         with np.load(state) as saved:
             arrays = {key: saved[key] for key in saved.files}
+        labels = arrays["labels"]  # 12 class-sorted labels of 3 classes
         if how == "missing-array":  # a state without its h array
             del arrays["h"]
-        else:  # labels for 5 of the 12 columns of h
-            arrays["labels"] = arrays["labels"][:5]
+        elif how == "short-labels":  # labels for 5 of the 12 columns of h
+            arrays["labels"] = labels[:5]
+        elif how == "empty-class":  # class 1 relabeled 2: no sample left in 1
+            arrays["labels"] = np.where(labels == 1, 2, labels)
+        else:  # a negative label
+            arrays["labels"] = np.where(np.arange(labels.size) == 1, -1, labels)
         np.savez(state, **arrays)
 
-    @pytest.mark.parametrize("how", ["truncated", "missing-array", "short-labels"])
+    @pytest.mark.parametrize(
+        "how", ["truncated", "missing-array", "short-labels", "empty-class", "negative-label"]
+    )
     def test_bad_state_exit_2(self, tmp_path, capsys, how):
         cfg = _write(tmp_path, "demo.cfg", _cfg_lines())
         out = tmp_path / "out"
@@ -311,6 +318,15 @@ def test_divergence_exit_code(tmp_path, capsys, monkeypatch):
     cfg = _write(tmp_path, "demo.cfg", _cfg_lines(head="deq"))
     assert main(["run", str(cfg)]) == 3
     assert "diverged" in capsys.readouterr().err
+
+
+def test_overflowing_update_exits_3(tmp_path, capsys):
+    # a finite learning rate whose first update overflows the ball functionals
+    lines = _cfg_lines(balanced_n=5, d0=4, d=4, learning_rate=1e308)
+    cfg = _write(tmp_path, "demo.cfg", lines)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert "diverged" in err and "step 1" in err
 
 
 def test_solver_convergence_exit_code(tmp_path, capsys, monkeypatch):

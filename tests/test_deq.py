@@ -267,6 +267,25 @@ class TestIterateBlocks:
             self._run(w, h0, policy)
         assert str(stacked.value) == str(alone.value)
 
+    def test_read_only_stack_in_exact_work_arrays(self):
+        # blocks that stop apart keep their slots: h0 is only read, and work
+        # arrays of exactly B blocks suffice
+        w, h0 = self._stack()
+        h0.setflags(write=False)
+        before = h0.copy()
+        policy = SolverPolicy(epsilon=1e-6, t_max=self.T_MAX)
+        z, z_next = np.empty((2,) + h0.shape)
+        iterations, residuals, column_residuals, _ = fixed_point_iterate_blocks(
+            w, h0, policy, z, z_next
+        )
+        assert h0.tobytes() == before.tobytes()
+        assert len(set(iterations.tolist())) >= 4
+        for b in range(h0.shape[0]):
+            alone = fixed_point_iterate(w, h0[b], policy)
+            assert iterations[b] == alone.iterations
+            assert residuals[b].tobytes() == np.float64(alone.residual).tobytes()
+            assert column_residuals[b].tobytes() == alone.column_residuals.tobytes()
+
 
 class TestHeadGradient:
     def test_zero_weight(self):

@@ -28,7 +28,7 @@ from collapsekit.harness import (
 from collapsekit.etf import gram_distance_to_etf_raw
 from collapsekit.linalg import make_rng
 from collapsekit.lpm import ExplicitHead
-from collapsekit.metrics import class_means
+from collapsekit.metrics import ClassPartition, class_means
 
 _TOOL = Path(__file__).resolve().parents[1] / "tools" / "compare_outputs.py"
 _spec = importlib.util.spec_from_file_location("compare_outputs", _TOOL)
@@ -624,6 +624,22 @@ class TestHeadJobs:
             run_sweep(configs, out_root=tmp_path / f"sweep{cpus}", max_workers=cpus)
             expected += ["pair deq", "pair explicit", "s deq", "s explicit", "t explicit"]
         assert sorted(log.read_text().splitlines()) == sorted(expected)
+
+    @pytest.mark.parametrize("head", ["explicit", "deq"])
+    def test_a_head_job_builds_one_class_partition(self, tmp_path, monkeypatch, head):
+        # the dataset's partition serves the initial and final class means
+        # and training
+        builds = []
+        build = ClassPartition.build.__func__
+
+        def counting(klass, *args, **kwargs):
+            builds.append(args)
+            return build(klass, *args, **kwargs)
+
+        monkeypatch.setattr(ClassPartition, "build", classmethod(counting))
+        cfg = config_from_dict(dict(BOTH_BALANCED), name="pair")
+        harness._sweep_worker((cfg.name, cfg, tmp_path, head))
+        assert len(builds) == 1
 
     def test_pool_takes_the_largest_job_first(self, tmp_path, monkeypatch):
         submitted = []

@@ -32,7 +32,7 @@ from collapsekit.lpm import (
     project_feasible,
     train,
 )
-from collapsekit.metrics import NcReporter, nc_report
+from collapsekit.metrics import ClassPartition, NcReporter, nc_report
 
 
 def _small_instance(seed, k=3, n=4, d=6, head_kind="explicit", e_h=1.0, gaussian_head=False):
@@ -472,6 +472,21 @@ class TestTrain:
         assert trace is not None
         assert len(trace.snapshots) >= 1
 
+    def test_overflowing_update_aborts_at_that_step(self):
+        # a finite learning rate whose first update overflows the ball
+        # functionals: no projection can rescale an infinite value, and a
+        # factor of 0 would zero the state
+        rng = make_rng(0)
+        features = initialize_features(np.repeat(np.arange(3), 5), 3, 4, 1.0, rng)
+        cls = initialize_classifier(3, 4, 1.0, rng)
+        head = initialize_explicit_head(4, 4, 1.0, rng)
+        cfg = TrainConfig(learning_rate=1e308, steps=20)
+        with pytest.raises(TrainingDivergedError, match="at step 1") as excinfo:
+            train(features, head, cls, cfg)
+        trace = excinfo.value.trace
+        assert [s.step for s in trace.snapshots] == [0]
+        assert trace.features is None and trace.classifier is None
+
     def test_final_snapshot_at_final_step(self):
         trace, cfg = self._run(steps=250, log_every=100)
         assert [s.step for s in trace.snapshots] == [0, 100, 200, 250]
@@ -823,6 +838,32 @@ class TestValidation:
         for budget in ("e_w", "e_h", "feature_budget"):
             with pytest.raises(ValueError, match="budgets must be positive and finite"):
                 TrainConfig(**{budget: float("inf")})
+
+    @pytest.mark.parametrize("head_kind", ["explicit", "deq"])
+    def test_train_reads_the_feature_set_partition(self, monkeypatch, head_kind):
+        features, head, cls = _small_instance(5, k=4, n=5, d=6, head_kind=head_kind, e_h=0.5)
+        builds = []
+        build = ClassPartition.build.__func__
+
+        def counting(klass, *args, **kwargs):
+            builds.append(args)
+            return build(klass, *args, **kwargs)
+
+        monkeypatch.setattr(ClassPartition, "build", classmethod(counting))
+        cfg = TrainConfig(learning_rate=0.05, steps=12, e_h=0.5, log_every=3)
+        trace = train(features, head, cls, cfg)
+        projected, _, _ = project_feasible(trace.features, head, cls, cfg)
+        assert builds == []
+        assert trace.features.partition is features.partition
+        assert projected.partition is features.partition
+
+    def test_featureset_rebuilds_a_partition_of_other_labels(self):
+        features = FeatureSet(h0=np.eye(3), labels=[0, 1, 1], k=2)
+        other = FeatureSet(h0=np.eye(3), labels=[1, 0, 1], k=2, partition=features.partition)
+        assert other.partition is not features.partition
+        assert other.partition.labels.tolist() == [1, 0, 1]
+        with pytest.raises(ValueError, match="labels must be 1-D with 2 entries"):
+            replace(features, h0=np.eye(2))
 
     @pytest.mark.parametrize("build", [
         lambda: FeatureSet(h0=np.eye(2), labels=[0, 1], k=2),

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from collapsekit.bounds import constants_from_logits
 from collapsekit.etf import make_etf, normalized_etf_gram
 from collapsekit.linalg import make_rng, pseudo_inverse
+from collapsekit.lpm import FeatureSet, accuracy, cross_entropy
 from collapsekit.metrics import (
     ClassPartition,
     NcReport,
@@ -355,7 +357,7 @@ class TestStackedReports:
         w[4, 3] = 0.0  # a numerically zero minority row: NaN cosine
         logits = w @ h
         losses = rng.random(b).tolist()
-        reporter = NcReporter.build(ClassPartition.build(labels, k), 1e-10, minority)
+        reporter = NcReporter.build(ClassPartition.build(labels, k), 1e-10, minority, b, d)
         reports = reporter.reports(h, w, logits, losses)
 
         rows = minority if minority is not None else range(k)
@@ -367,3 +369,36 @@ class TestStackedReports:
                 report = dataclasses.replace(report, minority_mean_pairwise_cosine=0.0)
                 expected = dataclasses.replace(expected, minority_mean_pairwise_cosine=0.0)
             assert report == expected
+
+
+class TestLabelCheck:
+    """Every public function that takes labels runs the one check: 1-D, one
+    entry per sample, values in [0, K)."""
+
+    H = np.arange(8.0).reshape(2, 4)
+    W = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
+    CALLS = {
+        "FeatureSet": lambda h, w, labels: FeatureSet(h0=h, labels=labels, k=3),
+        "ClassPartition.build": lambda h, w, labels: ClassPartition.build(labels, 3, 4),
+        "class_statistics": lambda h, w, labels: class_statistics(h, labels, 3),
+        "nc_report": lambda h, w, labels: nc_report(h, labels, w, w @ h, 0.5),
+        "cross_entropy": lambda h, w, labels: cross_entropy(w @ h, labels),
+        "accuracy": lambda h, w, labels: accuracy(w @ h, labels),
+        "constants_from_logits": lambda h, w, labels: constants_from_logits(w @ h, labels, 3),
+    }
+
+    @pytest.mark.parametrize("labels", [[0, 1, -1, 2], [0, 1, 3, 2], [0, 1, 2], [[0, 1, 2, 2]]],
+                             ids=["negative", "too-large", "short", "2-D"])
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_bad_labels_raise(self, call, labels):
+        with pytest.raises(ValueError, match="labels must"):
+            self.CALLS[call](self.H, self.W, labels)
+
+    def test_logit_scores_accept_a_missing_class(self):
+        logits = self.W @ self.H
+        labels = [0, 0, 1, 1]
+        assert accuracy(logits, labels) == 0.5
+        assert math.isfinite(cross_entropy(logits, labels))
+        constants_from_logits(logits, labels, 3)
+        with pytest.raises(ValueError, match="every class"):
+            ClassPartition.build(labels, 3, 4)

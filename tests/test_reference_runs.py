@@ -1,7 +1,10 @@
 import importlib.util
 from pathlib import Path
 
-from collapsekit.harness import load_config
+import csv
+
+from collapsekit import lpm
+from collapsekit.harness import load_config, run_experiment
 
 _TOOL = Path(__file__).resolve().parents[1] / "tools" / "reference_runs.py"
 _spec = importlib.util.spec_from_file_location("reference_runs", _TOOL)
@@ -18,3 +21,17 @@ def test_every_config_loads(tmp_path):
         keys = dict(reference_runs.RUNS[path.stem])
         keys.pop("r", None)  # the config hashes n_b = n_a / r
         assert cfg.canonical_dict().items() >= keys.items()
+
+
+def test_deq_chunks_stops_blocks_apart_in_its_first_chunk(tmp_path):
+    # deq-chunks is the set's only run whose Picard blocks of one snapshot
+    # chunk stop at different iterations, so its bytes check per-block
+    # stopping in the stacked diagnostic
+    (path,) = [p for p in reference_runs.write_configs(tmp_path) if p.stem == "deq-chunks"]
+    cfg = load_config(path, preset=reference_runs.preset(path.stem))
+    run_experiment(cfg, out_dir=tmp_path / "out")
+    chunk = lpm.SNAPSHOT_CHUNK_ELEMENTS // (cfg.d * cfg.labels().size)
+    with (tmp_path / "out" / "trace.csv").open() as fh:
+        iters = [row["solver_mean_iters"] for row in csv.DictReader(fh)][:chunk]
+    assert len(iters) == chunk > 1
+    assert len(set(iters)) >= 2
