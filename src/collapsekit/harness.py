@@ -16,9 +16,8 @@ cross-head comparison reads (the class means of the initial and the final
 features, and the classifier). A head's final post-head features are
 head(preimage(z)) of its last state, computed once. _run_head_jobs runs a
 list of head jobs: in this process with one job or one worker, else in one
-forked pool, largest N x steps first, with this process training the
-largest job itself when every job has a worker. The outputs are the same
-either way at a fixed BLAS thread count. The N x N sample Gram
+forked pool, largest N x steps first. The outputs are the same either way
+at a fixed BLAS thread count. The N x N sample Gram
 (gram_samples.csv, final post-head features, class-sorted) is written only
 on request, by `collapsekit export-gram` (reexport_grams), from the saved
 state.
@@ -333,19 +332,18 @@ def _write_gram_csv(path: Path, gram: np.ndarray) -> None:
     _write_validated_csv(path, header, [[_fmt(v) for v in row] for row in gram])
 
 
-def export_gram(features_h, labels, out_dir) -> tuple:
+def export_gram(features_h, labels, k: int, out_dir) -> tuple:
     """Write the class-mean Gram and the class-sorted sample Gram H^T H.
 
     Returns (samples_path, means_path). The sample Gram is N x N repr()
     text, re-parsed in full for validation, so runs leave it to
-    `collapsekit export-gram`. The labels form a ClassPartition of K =
-    max label + 1 classes, whose order sorts the samples.
+    `collapsekit export-gram`. The labels form a ClassPartition of k
+    classes, whose order sorts the samples.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     h = np.asarray(features_h, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    partition = ClassPartition.build(labels, int(labels.max()) + 1, h.shape[1])
+    partition = ClassPartition.build(labels, k, h.shape[1])
     means = partition.class_means(h)
     means_path = out_dir / "gram_class_means.csv"
     _write_gram_csv(means_path, means.T @ means)
@@ -511,7 +509,8 @@ def _sweep_worker(job) -> tuple:
     means = trace.features.partition.class_means(h_final)
     _write_gram_csv(run_dir / "gram_class_means.csv", means.T @ means)
     np.savez(run_dir / f"state_{head_name}.npz", h=h_final, h0=trace.features.h0,
-             labels=trace.features.labels, w=trace.classifier.w, head_w=trace.head.weight)
+             labels=trace.features.labels, k=cfg.k, w=trace.classifier.w,
+             head_w=trace.head.weight)
     summary = _head_summary(head_name, trace, trace_path, h0_sha)
     return summary, means, trace.classifier.w, means0, time.perf_counter() - t0
 
@@ -521,10 +520,10 @@ def _run_head_jobs(jobs: list, workers: int) -> list:
     exception it raised, in job order.
 
     With at most one job or one worker the jobs run here, in order.
-    Otherwise one pool takes them largest N x steps first, and when every
-    job has a worker this process trains the largest itself. The pool
-    always forks, so its workers inherit this process's state (a rebound
-    _sweep_worker too) rather than re-importing it.
+    Otherwise one pool of min(workers, jobs) workers takes them largest
+    N x steps first. The pool always forks, so its workers inherit this
+    process's state (a rebound _sweep_worker too) rather than re-importing
+    it.
     """
     def attempt(job):
         try:
@@ -538,13 +537,10 @@ def _run_head_jobs(jobs: list, workers: int) -> list:
 
     order = sorted(range(len(jobs)), reverse=True,
                    key=lambda i: sum(jobs[i][1].class_counts) * jobs[i][1].train.steps)
-    here = order.pop(0) if workers >= len(jobs) else None
     results, context = [None] * len(jobs), multiprocessing.get_context("fork")
-    with concurrent.futures.ProcessPoolExecutor(min(workers, len(order)),
+    with concurrent.futures.ProcessPoolExecutor(min(workers, len(jobs)),
                                                 mp_context=context) as pool:
         futures = {i: pool.submit(_sweep_worker, jobs[i]) for i in order}
-        if here is not None:
-            results[here] = attempt(jobs[here])
         for i, future in futures.items():
             results[i] = future.exception() or future.result()
     return results
@@ -584,9 +580,10 @@ def _finish_run(cfg, out: Path, results: list, duration_s: float) -> RunRecord:
 def run_experiment(cfg: ExperimentConfig, out_dir=None) -> RunRecord:
     """Train the configured head(s) on one synthesized dataset.
 
-    Each head trains in a head job (_run_head_jobs, one worker per usable
-    CPU); all start from the same backbone-feature and classifier draws,
-    and the record carries the H0 hash per head, asserted identical.
+    Each head trains in a head job (_run_head_jobs: in this process on one
+    usable CPU, else in a pool of one worker per usable CPU and at most one
+    per head); all start from the same backbone-feature and classifier
+    draws, and the record carries the H0 hash per head, asserted identical.
     Artifacts go under out_dir (default: the config's output_dir), and
     the record's duration_s is the run's wall time. Nothing is printed;
     `collapsekit run` prints the record's summary.
@@ -599,9 +596,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> RunRecord:
 
 def reexport_grams(run_dir) -> list:
     """Write the sample and class-mean Gram CSVs of a finished run from its
-    state_*.npz files (one pair per head directory). A state file that is
-    truncated, lacks an array, or holds an h that is not 2-D or labels
-    that ClassPartition rejects is a ConfigError naming it."""
+    state_*.npz files (one pair per head directory), with the state's k
+    classes. A state file that is truncated, lacks an array, or holds an
+    h that is not 2-D, a k that is not one integer, or labels that do not
+    partition N samples into k classes is a ConfigError naming it."""
     run_dir = Path(run_dir)
     states = sorted(run_dir.rglob("state_*.npz"))
     if not states:
@@ -610,13 +608,15 @@ def reexport_grams(run_dir) -> list:
     for state_path in states:
         try:  # np.load leaks a path it opened itself when the zip is bad
             with state_path.open("rb") as fh, np.load(fh) as state:
-                h, labels = state["h"], state["labels"]
+                h, labels, k = state["h"], state["labels"], state["k"]
         except (zipfile.BadZipFile, KeyError, ValueError, EOFError) as exc:
             raise ConfigError(f"cannot read {state_path}: {exc}") from exc
         if h.ndim != 2:
             raise ConfigError(f"{state_path}: h of shape {h.shape} is not 2-D")
+        if k.ndim != 0 or k.dtype.kind not in "iu":
+            raise ConfigError(f"{state_path}: k must be one integer, got {k!r}")
         try:
-            written.extend(export_gram(h, labels, state_path.parent))
+            written.extend(export_gram(h, labels, int(k), state_path.parent))
         except ValueError as exc:  # labels the class partition rejects
             raise ConfigError(f"{state_path}: {exc}") from exc
     return written

@@ -126,16 +126,15 @@ class HeadModel:
     is TrainConfig.e_h. Each head adds its maps:
 
       apply(h0)            the head output for backbone features h0
-      preimage_operator()  the map z -> H0 with apply(H0) = z, constants built once
+      preimage(z)          backbone features H0 with apply(H0) = z
       backward(upstream, h0)
                            (grad_head, grad_h0) of <upstream, apply(h0)>
       diagnostic_operator(capacity, n)
-                           the map (Z, given) -> one (solver iterations, skip
-                           count) per state of a chunk: a (B, D, N) stack Z
-                           with B <= capacity. given holds (b, h0) pairs,
-                           h0 being state b's preimage where it is known;
-                           the other preimages come from the link. Its
-                           constants and work arrays are built once.
+                           the map Z -> one (solver iterations, skip count)
+                           per state of a chunk: a (B, D, N) stack Z with
+                           B <= capacity, each state's diagnostic starting
+                           from its preimage. Its constants and work arrays
+                           are built once.
     """
 
     weight: np.ndarray
@@ -158,17 +157,16 @@ class ExplicitHead(HeadModel):
     def apply(self, h0: np.ndarray) -> np.ndarray:
         return self.weight @ h0
 
-    def preimage_operator(self):
+    def preimage(self, z: np.ndarray) -> np.ndarray:
         """A conditioning-checked solve, or the minimum-norm preimage
         through the pseudo-inverse when d0 > d."""
         w = self.weight
         d, d0 = w.shape
         if d == d0:
             check_conditioning(w)
-            return lambda z: np.linalg.solve(w, z)
+            return np.linalg.solve(w, z)
         if d0 > d:
-            pinv = linalg.pseudo_inverse(w, 1e-12)
-            return lambda z: pinv @ z
+            return linalg.pseudo_inverse(w, 1e-12) @ z
         raise ValueError(
             f"explicit head maps {d0} -> {d} dims; d0 >= d is required for an exact preimage"
         )
@@ -178,7 +176,7 @@ class ExplicitHead(HeadModel):
 
     def diagnostic_operator(self, capacity, n):
         """No solver: zeros for every state of the chunk."""
-        return lambda z, given: [(0.0, 0)] * z.shape[0]
+        return lambda z: [(0.0, 0)] * z.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,10 +193,9 @@ class DeqHead(HeadModel):
     def apply(self, h0: np.ndarray) -> np.ndarray:
         return deq.fixed_point_closed_form(self.weight, h0)
 
-    def preimage_operator(self):
+    def preimage(self, z: np.ndarray) -> np.ndarray:
         """The link H0 = (I - W) z."""
-        link = np.eye(self.d) - self.weight
-        return lambda z: link @ z
+        return (np.eye(self.d) - self.weight) @ z
 
     def backward(self, upstream, h0) -> tuple:
         return deq.head_gradient(self.weight, h0, upstream)
@@ -216,11 +213,9 @@ class DeqHead(HeadModel):
         link = np.eye(self.d) - weight
         h0, z, z_next = np.empty((3, capacity, self.d, n))
 
-        def diagnose(states, given):
+        def diagnose(states):
             count = states.shape[0]
             np.matmul(link, states, out=h0[:count])
-            for b, state_h0 in given:
-                h0[b] = state_h0
             iterations, _, column_residuals, _ = deq.fixed_point_iterate_blocks(
                 weight, h0[:count], policy, z, z_next
             )
@@ -462,7 +457,7 @@ def head_preimage(head: HeadModel, z: np.ndarray) -> np.ndarray:
     z = as_matrix(z, "z")
     if z.shape[0] != head.d:
         raise ValueError(f"z has {z.shape[0]} rows, head outputs {head.d}")
-    return head.preimage_operator()(z)
+    return head.preimage(z)
 
 
 # ---------------------------------------------------------------------------
@@ -547,11 +542,11 @@ class _SnapshotBuffer:
 
     A record copies its z, w and logits into the next slot of the chunk's
     (chunk, D, N), (chunk, K, D) and (chunk, K, N) arrays, and keeps its
-    step, its loss and, at step 0 only, its given h0. The chunk holds as
-    many states as SNAPSHOT_CHUNK_ELEMENTS allows, or as the run takes.
-    These arrays, the run's metric constants and the work arrays of the
-    metrics and of the head's diagnostic are built once per run, all sized
-    for one chunk; the class partition is the run's FeatureSet's.
+    step and its loss. The chunk holds as many states as
+    SNAPSHOT_CHUNK_ELEMENTS allows, or as the run takes. These arrays, the
+    run's metric constants and the work arrays of the metrics and of the
+    head's diagnostic are built once per run, all sized for one chunk; the
+    class partition is the run's FeatureSet's.
     """
 
     def __init__(self, head: HeadModel, partition: ClassPartition,
@@ -565,10 +560,10 @@ class _SnapshotBuffer:
         self.reporter = NcReporter.build(partition, cfg.metric_cutoff,
                                          cfg.minority_classes, chunk, d)
         self.diagnose = head.diagnostic_operator(chunk, n)
-        self.steps, self.losses, self.given = [], [], []
+        self.steps, self.losses = [], []
         self.snapshots = snapshots
 
-    def record(self, step, z, w, logits, loss, h0=None) -> None:
+    def record(self, step, z, w, logits, loss) -> None:
         """Take a snapshot of the state (z, w) with its logits w @ z and its
         loss, and evaluate the pending ones once they fill a chunk; a
         non-finite z or w raises ValueError here."""
@@ -580,8 +575,6 @@ class _SnapshotBuffer:
         self.logits[slot] = logits
         self.steps.append(step)
         self.losses.append(loss)
-        if h0 is not None:
-            self.given.append((slot, h0))
         if slot + 1 == self.z.shape[0]:
             self.flush()
 
@@ -590,11 +583,11 @@ class _SnapshotBuffer:
         count = len(self.steps)
         if not count:
             return
-        steps, losses, given = self.steps, self.losses, self.given
-        self.steps, self.losses, self.given = [], [], []
+        steps, losses = self.steps, self.losses
+        self.steps, self.losses = [], []
         z = self.z[:count]
         reports = self.reporter.reports(z, self.w[:count], self.logits[:count], losses)
-        diagnostics = self.diagnose(z, given)
+        diagnostics = self.diagnose(z)
         for step, report, (mean_iters, skip_count) in zip(steps, reports, diagnostics):
             self.snapshots.append(TraceSnapshot(step, report, mean_iters, skip_count))
 
@@ -625,10 +618,10 @@ def train(
     chunk's preimages, whose SolverConvergenceError under
     on_failure="error" ends the run.
 
-    The class partition is the FeatureSet's. Built once per run and reused
-    by every step and snapshot:
-      * the projected head and the preimage operator of the final state:
-        the explicit head's conditioning check, or the deq link I - W;
+    The class partition is the FeatureSet's. The final state's preimage is
+    computed once, when training ends. Built once per run and reused by
+    every step and snapshot:
+      * the projected head;
       * the snapshot chunk's record arrays, the NC metric constants (cosine
         pair index, normalized ETF target) and the array of the centered
         features;
@@ -651,7 +644,6 @@ def train(
     weights = partition.weights
     h0, head, w = _project_raw(features.h0, weights, head, cls.w, cfg)
     z = head.apply(h0)
-    preimage = head.preimage_operator()
     head_slack = float(np.linalg.norm(head.weight)) / cfg.e_h - 1.0
     n = z.shape[1]
     picks = _true_class_index(labels, n)
@@ -679,7 +671,7 @@ def train(
         trace.loss_history = np.asarray(losses)
         trace.feasibility_slack_max = slack_max
         if usable and np.all(np.isfinite(z)) and np.all(np.isfinite(w)):
-            trace.features = replace(features, h0=preimage(z))
+            trace.features = replace(features, h0=head.preimage(z))
             trace.head = head
             trace.classifier = ClassifierWeights(w=w)
         # on an abort the last snapshot holds the most recent usable state
@@ -691,7 +683,7 @@ def train(
         per_sample, exp, denom = _softmax_terms(logits, picks, class_sum, (shifted, exp))
         loss = float(np.add.reduce(per_sample) / n)
         if step % cfg.log_every == 0 or step == cfg.steps:
-            snapshots.record(step, z, w, logits, loss, h0 if step == 0 else None)
+            snapshots.record(step, z, w, logits, loss)
         if step == cfg.steps:
             break
         if not math.isfinite(loss):

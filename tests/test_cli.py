@@ -1,4 +1,5 @@
 import csv
+import functools
 import importlib.util
 import json
 import os
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from collapsekit import harness
 from collapsekit.cli import main
 from collapsekit.errors import SingularMatrixError
 
@@ -208,12 +210,21 @@ class TestExportGram:
             arrays["labels"] = labels[:5]
         elif how == "empty-class":  # class 1 relabeled 2: no sample left in 1
             arrays["labels"] = np.where(labels == 1, 2, labels)
+        elif how == "empty-top-class":  # class 2 relabeled 1: no sample left in 2
+            arrays["labels"] = np.where(labels == 2, 1, labels)
+        elif how == "missing-k":  # a state without its class count
+            del arrays["k"]
+        elif how == "flat-h":  # h flattened to 1-D
+            arrays["h"] = arrays["h"].ravel()
+        elif how == "two-k":  # a k that is not one integer
+            arrays["k"] = np.array([3, 3])
         else:  # a negative label
             arrays["labels"] = np.where(np.arange(labels.size) == 1, -1, labels)
         np.savez(state, **arrays)
 
     @pytest.mark.parametrize(
-        "how", ["truncated", "missing-array", "short-labels", "empty-class", "negative-label"]
+        "how", ["truncated", "missing-array", "short-labels", "empty-class", "negative-label",
+                "empty-top-class", "missing-k", "flat-h", "two-k"]
     )
     def test_bad_state_exit_2(self, tmp_path, capsys, how):
         cfg = _write(tmp_path, "demo.cfg", _cfg_lines())
@@ -224,6 +235,8 @@ class TestExportGram:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "state_explicit.npz" in err
         assert not (out / "gram_samples.csv").exists()
+        if how == "empty-top-class":
+            assert "empty: [2]" in err
 
     def test_unreadable_state_exit_5(self, tmp_path, capsys):
         # a directory named like a state file: np.load raises an OSError
@@ -286,6 +299,23 @@ class TestSweepCommand:
         assert not (runs[mixed] / "stuck/report.json").exists()
         clean_summary = json.loads((runs[clean] / "sweep_summary.json").read_text())
         assert compare_outputs._drop_timing(summary) == compare_outputs._drop_timing(clean_summary)
+
+    def test_write_grid(self, tmp_path, capsys, monkeypatch):
+        # the grid at 2 steps per config instead of 3000
+        monkeypatch.setattr(harness, "write_imbalance_grid",
+                            functools.partial(harness.write_imbalance_grid, steps=2))
+        configs, out = tmp_path / "grid", tmp_path / "runs"
+        assert main(["sweep", str(configs), "--write-grid", "--seed", "3", "--workers", "1",
+                     "--out", str(out)]) == 0
+        paths = sorted(configs.glob("*.cfg"))
+        assert len(paths) == 9
+        assert all("seed = 3" in path.read_text().splitlines() for path in paths)
+        printed = capsys.readouterr().out
+        assert f"wrote 9 grid configs to {configs}" in printed
+        assert "sweep finished: 9 runs merged into sweep_summary.json" in printed
+        summary = json.loads((out / "sweep_summary.json").read_text())
+        assert len(summary) == 9
+        assert {record["seed"] for record in summary.values()} == {3}
 
     @pytest.mark.parametrize("out_flag", [True, False], ids=["out", "output_dir"])
     def test_shared_run_directory_exits_2(self, tmp_path, capsys, out_flag):

@@ -71,6 +71,15 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="unknown key"):
             load_config(path)
 
+    def test_unknown_dict_key(self):
+        with pytest.raises(ConfigError, match=r"unknown config keys: \['foo'\]"):
+            config_from_dict(dict(TINY, foo=1))
+
+    def test_line_without_equals(self, tmp_path):
+        path = _write_config(tmp_path, ["head = explicit", "k 3", "balanced_n = 2"])
+        with pytest.raises(ConfigError, match="exp.cfg:2: expected key = value, got 'k 3'"):
+            load_config(path)
+
     def test_duplicate_key(self, tmp_path):
         path = _write_config(tmp_path, ["head = explicit", "head = deq", "k = 3", "balanced_n = 2"])
         with pytest.raises(ConfigError, match="duplicate"):
@@ -149,6 +158,12 @@ class TestConfigParsing:
         ({"name": "."}, "name must be one path component"),
         ({"name": ".."}, "name must be one path component"),
         ({"name": "a/b"}, "name must be one path component"),
+        ({"head": "foo"}, "head must be one of"),
+        ({"k": 1}, "k must be at least 2"),
+        ({"d": 1, "d0": 1}, "need d >= 2 and d0 >= 1"),
+        ({"balanced_n": 0}, "balanced_n must be positive"),
+        ({"balanced_n": None, "k": 4, "k_a": 2, "k_b": 3, "n_a": 10, "r": 5},
+         "imbalance spec covers 5 classes but k=4"),
     ])
     def test_bad_values(self, overrides, message):
         raw = {k: v for k, v in dict(TINY, **overrides).items() if v is not None}
@@ -226,7 +241,7 @@ class TestSynthesize:
 class TestExportGram:
     def test_identical_unit_features(self, tmp_path):
         h = np.array([[1.0, 1.0]])
-        samples_path, _ = export_gram(h, [0, 1], tmp_path)
+        samples_path, _ = export_gram(h, [0, 1], 2, tmp_path)
         with samples_path.open() as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["g_0", "g_1"]
@@ -235,7 +250,7 @@ class TestExportGram:
 
     def test_orthonormal_means_identity_gram(self, tmp_path):
         h = np.eye(3)
-        _, means_path = export_gram(h, [0, 1, 2], tmp_path)
+        _, means_path = export_gram(h, [0, 1, 2], 3, tmp_path)
         with means_path.open() as fh:
             rows = list(csv.reader(fh))
         values = np.array([[float(x) for x in row] for row in rows[1:]])
@@ -246,7 +261,7 @@ class TestExportGram:
         h = rng.standard_normal((4, 7))
         labels = rng.integers(0, 3, size=7)
         labels[:3] = [0, 1, 2]
-        samples_path, means_path = export_gram(h, labels, tmp_path)
+        samples_path, means_path = export_gram(h, labels, 3, tmp_path)
         order = np.argsort(labels, kind="stable")
         expected = h[:, order].T @ h[:, order]
         with samples_path.open() as fh:
@@ -257,7 +272,7 @@ class TestExportGram:
     def test_class_sorted(self, tmp_path):
         h = np.array([[2.0, 1.0, 3.0]])
         labels = [1, 0, 1]
-        samples_path, _ = export_gram(h, labels, tmp_path)
+        samples_path, _ = export_gram(h, labels, 2, tmp_path)
         with samples_path.open() as fh:
             rows = list(csv.reader(fh))[1:]
         parsed = np.array([[float(x) for x in row] for row in rows])
@@ -381,7 +396,7 @@ class TestRunExperiment:
         assert len(written) == 2
         with np.load(run_dir / "state_explicit.npz") as state:
             h, labels = state["h"], state["labels"]
-        samples_path, _ = export_gram(h, labels, tmp_path / "direct")
+        samples_path, _ = export_gram(h, labels, cfg.k, tmp_path / "direct")
         assert (run_dir / "gram_samples.csv").read_bytes() == samples_path.read_bytes()
         with (run_dir / "gram_samples.csv").open() as fh:
             rows = list(csv.reader(fh))[1:]
@@ -660,10 +675,10 @@ class TestHeadJobs:
         assert [result[0].trace_path for result in results] == [
             str(tmp_path / name / "trace.csv") for name in sizes]
 
-        # every job has a worker: this process trains the largest itself
+        # every job has a worker: the pool still takes them all, largest first
         submitted.clear()
         harness._run_head_jobs(jobs[:2], workers=2)
-        assert submitted == ["small"]
+        assert submitted == ["long", "small"]
 
 
 def test_write_trace_csv_validates(tmp_path):

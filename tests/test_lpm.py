@@ -514,15 +514,15 @@ class TestSnapshotParity:
 
     @staticmethod
     def _recorded_train(monkeypatch, features, head, cls, cfg):
-        """train, plus every recorded (step, z, w, h0) and the size of
-        every stacked evaluation."""
+        """train, plus every recorded (step, z, w) and the size of every
+        stacked evaluation."""
         states, chunks = [], []
         record = lpm_mod._SnapshotBuffer.record
         reports = NcReporter.reports
 
-        def recording(buffer, step, z, w, logits, loss, h0=None):
-            states.append((step, z.copy(), w.copy(), h0))
-            return record(buffer, step, z, w, logits, loss, h0)
+        def recording(buffer, step, z, w, logits, loss):
+            states.append((step, z.copy(), w.copy()))
+            return record(buffer, step, z, w, logits, loss)
 
         def counting(reporter, h, w, logits, losses):
             chunks.append(h.shape[0])
@@ -533,7 +533,7 @@ class TestSnapshotParity:
         return train(features, head, cls, cfg), states, chunks
 
     @staticmethod
-    def _public_snapshot(trace, labels, cfg, step, z, w, h0):
+    def _public_snapshot(trace, labels, cfg, step, z, w):
         logits = w @ z
         loss = cross_entropy(logits, labels)
         report = nc_report(z, labels, w, logits, loss, cutoff=cfg.metric_cutoff,
@@ -541,7 +541,7 @@ class TestSnapshotParity:
         iters, skips = 0.0, 0
         if isinstance(trace.head, DeqHead):
             policy = trace.head.policy
-            h0 = head_preimage(trace.head, z) if h0 is None else h0
+            h0 = head_preimage(trace.head, z)
             result = fixed_point_iterate(trace.head.weight, h0, policy)
             iters = float(result.iterations)
             skips = int(np.count_nonzero(result.column_residuals > policy.epsilon))
@@ -598,7 +598,7 @@ class TestSnapshotParity:
         # the state after step 10 gets a non-finite loss, so step 11 diverges:
         # snapshots 0, 2, ..., 10 were taken, the first four evaluated as one
         # chunk, the last two pending
-        step, z, w, _ = states[5]
+        step, z, w = states[5]
         assert step == 10
         poisoned = w @ z
         softmax_terms = lpm_mod._softmax_terms
