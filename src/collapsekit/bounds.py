@@ -315,9 +315,6 @@ class ExtremeImbalanceReport:
     features_within_tol: bool
     etf_within_tol: bool
 
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 def extreme_imbalance_report(
     w, features_h, labels, k_a: int, tol: float = 0.1
@@ -328,12 +325,13 @@ def extreme_imbalance_report(
     majority classes first). Weight and feature checks are relative: minority
     norms must fall below tol times the majority mean. The ETF check is the
     scale-free Gram distance of the majority class means, compared to tol
-    directly.
+    directly. The labels get the one label check (check_labels): one per
+    column of features_h, each in [0, K) for the K rows of w.
     """
     w = as_matrix(w, "w")
     h = as_matrix(features_h, "features")
-    labels = np.asarray(labels, dtype=np.int64)
     k = w.shape[0]
+    labels = check_labels(labels, k, h.shape[1])
     if not (1 <= k_a <= k):
         raise ValueError(f"k_a must lie in [1, {k}], got {k_a}")
     if k_a < 2:

@@ -58,7 +58,7 @@ from .bounds import ImbalanceSpec, comparison_conditions, imbalance_etf_target
 from .deq import SolverPolicy
 from .errors import ConfigError
 from .etf import gram_distance_to_etf_raw
-from .linalg import make_rng
+from .linalg import as_matrix, make_rng
 from .lpm import FeatureSet, TrainConfig, TrainTrace
 from .metrics import ClassPartition
 
@@ -337,12 +337,13 @@ def export_gram(features_h, labels, k: int, out_dir) -> tuple:
 
     Returns (samples_path, means_path). The sample Gram is N x N repr()
     text, re-parsed in full for validation, so runs leave it to
-    `collapsekit export-gram`. The labels form a ClassPartition of k
-    classes, whose order sorts the samples.
+    `collapsekit export-gram`. features_h must be a finite 2-D array (else
+    ValueError, before any file is written). The labels form a
+    ClassPartition of k classes, whose order sorts the samples.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    h = np.asarray(features_h, dtype=np.float64)
+    h = as_matrix(features_h, "h")
     partition = ClassPartition.build(labels, k, h.shape[1])
     means = partition.class_means(h)
     means_path = out_dir / "gram_class_means.csv"
@@ -376,21 +377,6 @@ def _write_validated_csv(path: Path, header, rows) -> None:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class HeadSummary:
-    """Final metrics of one trained head."""
-
-    head: str
-    final_report: dict
-    final_loss: float
-    acc_last10_mean: float
-    acc_last10_std: float
-    solver_skip_total: int
-    feasibility_slack_max: float
-    trace_path: str
-    h0_init_sha256: str
-
-
-@dataclass(frozen=True)
 class RunRecord:
     config_hash: str
     name: str
@@ -405,9 +391,10 @@ class RunRecord:
         return dataclasses.asdict(self)
 
 
-def _head_summary(head_name: str, trace: TrainTrace, trace_path: Path, h0_sha: str) -> HeadSummary:
+def _head_summary(head_name: str, trace: TrainTrace, trace_path: Path, h0_sha: str) -> dict:
+    """Final metrics of one trained head: its entry of RunRecord.heads."""
     accs = [snap.report.accuracy for snap in trace.snapshots[-10:]]
-    return HeadSummary(
+    return dict(
         head=head_name,
         final_report=trace.final.report.as_dict(),
         final_loss=trace.final.report.loss,
@@ -484,9 +471,10 @@ def _sweep_worker(job) -> tuple:
     The run's initialization is drawn here from the config's seed, in a
     fixed order (features, classifier, explicit head, deq head), so every
     head of a run starts from the same draws. Returns (summary, class
-    means, classifier, initial class means, seconds): the HeadSummary, the
-    D x K class means of the final and of the initial features and the
-    K x D classifier (what compare_heads reads), and the job's wall time.
+    means, classifier, initial class means, seconds): the head's entry of
+    RunRecord.heads, the D x K class means of the final and of the initial
+    features and the K x D classifier (what compare_heads reads), and the
+    job's wall time.
     Module-level so that a pool worker resolves it by reference.
     """
     t0 = time.perf_counter()
@@ -554,8 +542,8 @@ def _finish_run(cfg, out: Path, results: list, duration_s: float) -> RunRecord:
         if isinstance(result, Exception):
             raise result
         summary, means, w, means0, _ = result
-        summaries[summary.head], finals[summary.head] = summary, (means, w)
-    h0_shas = {summary.h0_init_sha256 for summary in summaries.values()}
+        summaries[summary["head"]], finals[summary["head"]] = summary, (means, w)
+    h0_shas = {summary["h0_init_sha256"] for summary in summaries.values()}
     if len(h0_shas) != 1:
         raise AssertionError("the heads did not start from the same H0 initialization")
 
@@ -568,7 +556,7 @@ def _finish_run(cfg, out: Path, results: list, duration_s: float) -> RunRecord:
         name=cfg.name,
         seed=cfg.train.seed,
         duration_s=duration_s,
-        heads={name: dataclasses.asdict(s) for name, s in summaries.items()},
+        heads=summaries,
         shared_h0_sha256=h0_shas.pop(),
         condition_report=condition_report.as_dict() if condition_report else None,
         condition_note=condition_note,
@@ -598,8 +586,9 @@ def reexport_grams(run_dir) -> list:
     """Write the sample and class-mean Gram CSVs of a finished run from its
     state_*.npz files (one pair per head directory), with the state's k
     classes. A state file that is truncated, lacks an array, or holds an
-    h that is not 2-D, a k that is not one integer, or labels that do not
-    partition N samples into k classes is a ConfigError naming it."""
+    h that is not a finite 2-D array, a k that is not one integer, or labels
+    that do not partition N samples into k classes is a ConfigError naming
+    it."""
     run_dir = Path(run_dir)
     states = sorted(run_dir.rglob("state_*.npz"))
     if not states:
@@ -611,13 +600,11 @@ def reexport_grams(run_dir) -> list:
                 h, labels, k = state["h"], state["labels"], state["k"]
         except (zipfile.BadZipFile, KeyError, ValueError, EOFError) as exc:
             raise ConfigError(f"cannot read {state_path}: {exc}") from exc
-        if h.ndim != 2:
-            raise ConfigError(f"{state_path}: h of shape {h.shape} is not 2-D")
         if k.ndim != 0 or k.dtype.kind not in "iu":
             raise ConfigError(f"{state_path}: k must be one integer, got {k!r}")
         try:
             written.extend(export_gram(h, labels, int(k), state_path.parent))
-        except ValueError as exc:  # labels the class partition rejects
+        except ValueError as exc:  # an h or labels the checks reject
             raise ConfigError(f"{state_path}: {exc}") from exc
     return written
 

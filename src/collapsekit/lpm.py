@@ -57,13 +57,13 @@ from . import deq, linalg
 from .deq import SolverPolicy
 from .deq import fixed_point_iterate  # noqa: F401  (lpm.fixed_point_iterate: wrapped by perfbench/tracer.py)
 from .errors import TrainingDivergedError
-from .linalg import DEFAULT_PINV_CUTOFF, as_matrix, check_conditioning, check_finite
-from .linalg import solve_linear  # noqa: F401  (lpm.solve_linear: wrapped by perfbench/tracer.py)
+from .linalg import DEFAULT_PINV_CUTOFF, as_matrix, check_finite, solve_linear
 from .metrics import ClassPartition, NcReport, NcReporter, check_labels
 from .metrics import nc_report  # noqa: F401  (lpm.nc_report: wrapped by perfbench/tracer.py)
 
 # The heads look deq.fixed_point_closed_form and linalg.pseudo_inverse up
-# through their modules at call time, so a rebinding of either is seen.
+# through their modules at call time, and solve_linear through this one, so
+# a rebinding of any of them is seen.
 
 # train() evaluates its snapshots in stacked chunks whose features hold at
 # most this many float64 elements (256 KB): 10 states at K=10, N=200, D=16,
@@ -158,13 +158,12 @@ class ExplicitHead(HeadModel):
         return self.weight @ h0
 
     def preimage(self, z: np.ndarray) -> np.ndarray:
-        """A conditioning-checked solve, or the minimum-norm preimage
-        through the pseudo-inverse when d0 > d."""
+        """solve_linear's conditioning-checked solve, or the minimum-norm
+        preimage through the pseudo-inverse when d0 > d."""
         w = self.weight
         d, d0 = w.shape
         if d == d0:
-            check_conditioning(w)
-            return np.linalg.solve(w, z)
+            return solve_linear(w, z)
         if d0 > d:
             return linalg.pseudo_inverse(w, 1e-12) @ z
         raise ValueError(
@@ -235,7 +234,9 @@ class TrainConfig:
     The field defaults below are the config-file defaults (the harness's
     "desk" preset): they keep softmax logits large enough to separate in a
     few thousand steps. The "paper" preset sets e_w = e_h = 0.01,
-    feature_budget = 0.01 and learning_rate = 1e-4.
+    feature_budget = 0.01 and learning_rate = 1e-4. minority_classes, when
+    given, are at least two distinct classes in [0, K) of the run's K; the
+    count is checked here, and the rest when train starts, before step 1.
     """
 
     learning_rate: float = 0.05
@@ -421,8 +422,6 @@ def _shrink_to_ball(block: np.ndarray, value_fn, budget: float, squared: bool,
             break
         factor = budget / value
         factor = math.sqrt(factor) if squared else factor
-        if factor >= 1.0:
-            break
         block = np.multiply(block, factor, out=out)
         new_value = value_fn(block)
         stalled = new_value >= value
@@ -670,7 +669,9 @@ def train(
         snapshots.flush()
         trace.loss_history = np.asarray(losses)
         trace.feasibility_slack_max = slack_max
-        if usable and np.all(np.isfinite(z)) and np.all(np.isfinite(w)):
+        # a usable z and w are finite: step 0's passed record's check, and
+        # every update's passed the ball functionals' finiteness check
+        if usable:
             trace.features = replace(features, h0=head.preimage(z))
             trace.head = head
             trace.classifier = ClassifierWeights(w=w)

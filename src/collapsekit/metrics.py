@@ -248,10 +248,14 @@ def _mean_pairwise_cosines(w: np.ndarray, row_norms: np.ndarray, rows: np.ndarra
     return cosines
 
 
-def _cosine_rows(classes: Sequence[int]) -> np.ndarray:
+def _cosine_rows(classes: Sequence[int], k: int) -> np.ndarray:
+    """The classes as row indices: at least two distinct classes in [0, k)."""
     rows = np.asarray(list(classes), dtype=np.intp)
     if rows.size < 2:
         raise ValueError("need at least two classes for pairwise cosines")
+    # a set, not np.unique: np.unique imports numpy.ma (~1.6 MB) in every worker
+    if len(set(rows.tolist())) < rows.size or rows.min() < 0 or rows.max() >= k:
+        raise ValueError(f"cosine classes must be distinct and in [0, {k}), got {rows.tolist()}")
     return rows
 
 
@@ -266,9 +270,11 @@ def minority_collapse_index(w, minority_classes: Sequence[int]) -> float:
     Approaches 1 when the selected rows collapse onto one direction and
     -1/(K-1) when they sit on a K-class ETF. Returns NaN (with the norms
     left to per_class_weight_norm) when a selected row is numerically zero.
+    The minority classes must be at least two distinct classes in [0, K)
+    for the K rows of w (else ValueError).
     """
     w = as_matrix(w, "w")[None]
-    rows = _cosine_rows(minority_classes)
+    rows = _cosine_rows(minority_classes, w.shape[1])
     return float(_mean_pairwise_cosines(w, _row_norms(w), rows, _pair_index(rows.size))[0])
 
 
@@ -291,8 +297,11 @@ class NcReporter:
     def build(cls, partition: ClassPartition, cutoff: float,
               minority_classes: Optional[Sequence[int]], capacity: int,
               d: int) -> "NcReporter":
+        """minority_classes (default: all K) must be at least two distinct
+        classes in [0, K), else ValueError; train builds its reporter before
+        step 1."""
         k = partition.k
-        rows = _cosine_rows(minority_classes if minority_classes is not None else range(k))
+        rows = _cosine_rows(minority_classes if minority_classes is not None else range(k), k)
         return cls(
             partition=partition,
             cutoff=cutoff,

@@ -218,23 +218,27 @@ class TestExportGram:
             arrays["h"] = arrays["h"].ravel()
         elif how == "two-k":  # a k that is not one integer
             arrays["k"] = np.array([3, 3])
+        elif how == "nan-h":  # a NaN entry in h
+            arrays["h"][0, 0] = np.nan
         else:  # a negative label
             arrays["labels"] = np.where(np.arange(labels.size) == 1, -1, labels)
         np.savez(state, **arrays)
 
     @pytest.mark.parametrize(
         "how", ["truncated", "missing-array", "short-labels", "empty-class", "negative-label",
-                "empty-top-class", "missing-k", "flat-h", "two-k"]
+                "empty-top-class", "missing-k", "flat-h", "two-k", "nan-h"]
     )
     def test_bad_state_exit_2(self, tmp_path, capsys, how):
         cfg = _write(tmp_path, "demo.cfg", _cfg_lines())
         out = tmp_path / "out"
         main(["run", str(cfg), "--out", str(out), "--quiet"])
+        means = (out / "gram_class_means.csv").read_bytes()
         self._damage_state(out / "state_explicit.npz", how)
         assert main(["export-gram", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "state_explicit.npz" in err
         assert not (out / "gram_samples.csv").exists()
+        assert (out / "gram_class_means.csv").read_bytes() == means
         if how == "empty-top-class":
             assert "empty: [2]" in err
 

@@ -672,7 +672,7 @@ class TestHeadJobs:
         results = harness._run_head_jobs(jobs, workers=2)
         assert submitted == ["wide", "long", "small"]
         # results come back in job order
-        assert [result[0].trace_path for result in results] == [
+        assert [result[0]["trace_path"] for result in results] == [
             str(tmp_path / name / "trace.csv") for name in sizes]
 
         # every job has a worker: the pool still takes them all, largest first

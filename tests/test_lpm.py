@@ -724,6 +724,18 @@ class TestShrinkToBall:
         if value <= budget:
             np.testing.assert_array_equal(twice, once)
 
+    @pytest.mark.parametrize("name", sorted(FUNCTIONALS))
+    def test_one_ulp_above_budget_is_rescaled(self, name):
+        # budget / value rounds below 1 (and so does its square root), so
+        # even the smallest excess takes a rescale
+        value_fn, squared = self.FUNCTIONALS[name]
+        block = make_rng(31).standard_normal((3, 7))
+        budget = np.nextafter(value_fn(block), 0.0)
+        once, value = lpm_mod._shrink_to_ball(block, value_fn, budget, squared)
+        assert once is not block
+        assert np.all(np.abs(once) < np.abs(block))
+        assert value == value_fn(once) < value_fn(block)
+
     @pytest.mark.xfail(strict=True, reason="a stalled shrink rescales again when re-projected")
     def test_idempotent_after_stall(self):
         # the last rescale leaves the value one ulp above the budget and no
@@ -812,6 +824,24 @@ class TestPreimageRoundTrip:
         back = head_features(head, head_preimage(head, z))
         assert np.linalg.norm(back - z) <= self.TOLERANCE * np.linalg.norm(z)
 
+    def test_explicit_preimage_solves_through_solve_linear(self, monkeypatch):
+        # the square explicit head's preimage is linalg.solve_linear, looked
+        # up through lpm: once when training ends, once per head_preimage
+        calls = []
+        solve_linear = lpm_mod.solve_linear
+
+        def counting(a, b):
+            calls.append(b.shape)
+            return solve_linear(a, b)
+
+        monkeypatch.setattr(lpm_mod, "solve_linear", counting)
+        features, head, cls = _small_instance(5, k=4, n=5, d=6)
+        trace = train(features, head, cls, TrainConfig(steps=12, log_every=3))
+        assert calls == [(6, 20)]
+        head_preimage(trace.head, trace.features.h0)
+        head_preimage(trace.head, trace.features.h0[:, :3])
+        assert calls == [(6, 20), (6, 20), (6, 3)]
+
 
 class TestValidation:
     def test_featureset_checks(self):
@@ -856,6 +886,25 @@ class TestValidation:
         assert builds == []
         assert trace.features.partition is features.partition
         assert projected.partition is features.partition
+
+    @pytest.mark.parametrize("minority", [(5, 6), (-1, -2), (1, 1)],
+                             ids=["out-of-range", "negative", "repeated"])
+    def test_bad_minority_classes_raise_before_the_first_step(self, monkeypatch, minority):
+        features, head, cls = _small_instance(5, k=4, n=5, d=6)
+        calls = []
+        softmax_terms = lpm_mod._softmax_terms
+
+        def counting(*args):
+            calls.append(1)
+            return softmax_terms(*args)
+
+        monkeypatch.setattr(lpm_mod, "_softmax_terms", counting)
+        cfg = TrainConfig(steps=20, log_every=5, minority_classes=minority)
+        with pytest.raises(ValueError, match=r"distinct and in \[0, 4\)"):
+            train(features, head, cls, cfg)
+        assert calls == []
+        train(features, head, cls, replace(cfg, minority_classes=(2, 3)))
+        assert len(calls) == 21
 
     def test_featureset_rebuilds_a_partition_of_other_labels(self):
         features = FeatureSet(h0=np.eye(3), labels=[0, 1, 1], k=2)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from collapsekit.bounds import constants_from_logits
+from collapsekit.bounds import constants_from_logits, extreme_imbalance_report
 from collapsekit.etf import make_etf, normalized_etf_gram
 from collapsekit.linalg import make_rng, pseudo_inverse
 from collapsekit.lpm import FeatureSet, accuracy, cross_entropy
@@ -215,6 +215,16 @@ class TestMinorityCollapse:
         with pytest.raises(ValueError, match="two classes"):
             minority_collapse_index(np.eye(3), [1])
 
+    @pytest.mark.parametrize("classes", [[5, 6], [-1, -2], [1, 1]],
+                             ids=["out-of-range", "negative", "repeated"])
+    def test_bad_classes_raise(self, classes):
+        w = np.vstack([np.eye(4)[:3], np.ones(4)])
+        with pytest.raises(ValueError, match=r"distinct and in \[0, 4\)"):
+            minority_collapse_index(w, classes)
+        h, labels = w.T, np.arange(4)
+        with pytest.raises(ValueError, match=r"distinct and in \[0, 4\)"):
+            nc_report(h, labels, w, w @ h, 0.5, minority_classes=classes)
+
 
 class TestNcReport:
     def test_fields_and_accuracy(self):
@@ -385,6 +395,8 @@ class TestLabelCheck:
         "cross_entropy": lambda h, w, labels: cross_entropy(w @ h, labels),
         "accuracy": lambda h, w, labels: accuracy(w @ h, labels),
         "constants_from_logits": lambda h, w, labels: constants_from_logits(w @ h, labels, 3),
+        "extreme_imbalance_report":
+            lambda h, w, labels: extreme_imbalance_report(w, h, labels, k_a=2),
     }
 
     @pytest.mark.parametrize("labels", [[0, 1, -1, 2], [0, 1, 3, 2], [0, 1, 2], [[0, 1, 2, 2]]],
