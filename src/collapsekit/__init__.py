@@ -38,7 +38,6 @@ from .etf import (
 )
 from .harness import (
     ExperimentConfig,
-    RunRecord,
     config_from_dict,
     export_gram,
     load_config,

@@ -98,18 +98,19 @@ def _require(ok: bool, message: str) -> None:
 
 
 def _cmd_run(args) -> int:
-    cfg = harness.with_seed(harness.load_config(args.config, preset=args.preset), args.seed)
+    cfg = harness.load_config(args.config, preset=args.preset, seed=args.seed)
     record = harness.run_experiment(cfg, out_dir=args.out)
     if not args.quiet:
-        print(f"run {record.name}: hash {record.config_hash[:12]} ({record.duration_s:.2f} s)")
-        for head, summary in record.heads.items():
+        print(f"run {record['name']}: hash {record['config_hash'][:12]} "
+              f"({record['duration_s']:.2f} s)")
+        for head, summary in record["heads"].items():
             rep = summary["final_report"]
             print(
                 f"  {head}: loss {summary['final_loss']:.6f} acc {rep['accuracy']:.4f} "
                 f"nc1 {rep['nc1']:.4g} nc2 {rep['nc2']:.4g} nc3 {rep['nc3']:.4g}"
             )
-        if record.condition_report is not None:
-            cr = record.condition_report
+        cr = record["condition_report"]
+        if cr is not None:
             ratio = cr["nc3_cosine_ratio"]
             ratio_text = "undefined" if ratio is None else f"{ratio:.4g}"
             print(
@@ -118,8 +119,8 @@ def _cmd_run(args) -> int:
                 f"nc2 dist ex={cr['nc2_distance_explicit']:.4g} "
                 f"deq={cr['nc2_distance_deq']:.4g}, cos ratio {ratio_text}"
             )
-        if record.condition_note is not None:
-            print(f"  conditions: {record.condition_note}")
+        if record["condition_note"] is not None:
+            print(f"  conditions: {record['condition_note']}")
     return 0
 
 

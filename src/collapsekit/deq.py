@@ -17,6 +17,7 @@ and the deq head's training diagnostic on each chunk of snapshots.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,8 +55,8 @@ class SolverPolicy:
     on_failure: str = "skip"
 
     def __post_init__(self):
-        if not self.epsilon > 0.0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        if not 0.0 < self.epsilon < math.inf:  # NaN fails too
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
         if self.t_max < 1:
             raise ValueError(f"t_max must be at least 1, got {self.t_max}")
         if self.on_failure not in ON_FAILURE_CHOICES:

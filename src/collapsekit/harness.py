@@ -5,7 +5,7 @@ A run consumes a flat key = value config file, synthesizes a seeded dataset
 shared backbone-feature initialization, and persists:
 
     trace.csv             per-snapshot training trace (schema below)
-    report.json           the RunRecord
+    report.json           the run record (see _finish_run)
     gram_class_means.csv  K x K Gram of final class means
     state_<head>.npz      final parameters, for re-exporting Grams
 
@@ -47,7 +47,7 @@ import math
 import os
 import time
 import zipfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -238,22 +238,14 @@ def config_from_dict(raw: dict, preset: str = "desk", name: str = "experiment") 
     )
 
 
-def with_seed(cfg: ExperimentConfig, seed: Optional[int]) -> ExperimentConfig:
-    """cfg with its seed replaced by seed, or cfg itself when seed is None;
-    a negative seed is a ConfigError."""
-    if seed is None:
-        return cfg
-    try:
-        return replace(cfg, train=replace(cfg.train, seed=seed))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def load_config(path, preset: str = "desk") -> ExperimentConfig:
+def load_config(path, preset: str = "desk", seed: Optional[int] = None) -> ExperimentConfig:
     """Parse the flat key = value config format.
 
     Blank lines and #-comments (full-line or trailing) are ignored; keys are
-    typed per the documented schema; unknown keys are an error.
+    typed per the documented schema; unknown keys are an error. A seed that
+    is not None replaces the file's seed before the config is validated, so
+    it passes the same checks as every other key (a negative one is a
+    ConfigError).
     """
     path = Path(path)
     if not path.is_file():
@@ -280,6 +272,8 @@ def load_config(path, preset: str = "desk") -> ExperimentConfig:
             raise ConfigError(
                 f"{path}:{lineno}: cannot parse {key} = {value!r} as {_SCHEMA[key].__name__}"
             ) from exc
+    if seed is not None:
+        raw["seed"] = seed
     return config_from_dict(raw, preset=preset, name=path.stem)
 
 
@@ -376,23 +370,9 @@ def _write_validated_csv(path: Path, header, rows) -> None:
 # run records
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RunRecord:
-    config_hash: str
-    name: str
-    seed: int
-    duration_s: float
-    heads: dict
-    shared_h0_sha256: str
-    condition_report: Optional[dict] = None
-    condition_note: Optional[str] = None
-
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-
 def _head_summary(head_name: str, trace: TrainTrace, trace_path: Path, h0_sha: str) -> dict:
-    """Final metrics of one trained head: its entry of RunRecord.heads."""
+    """Final metrics of one trained head: its entry of the run record's
+    heads."""
     accs = [snap.report.accuracy for snap in trace.snapshots[-10:]]
     return dict(
         head=head_name,
@@ -472,9 +452,9 @@ def _sweep_worker(job) -> tuple:
     fixed order (features, classifier, explicit head, deq head), so every
     head of a run starts from the same draws. Returns (summary, class
     means, classifier, initial class means, seconds): the head's entry of
-    RunRecord.heads, the D x K class means of the final and of the initial
-    features and the K x D classifier (what compare_heads reads), and the
-    job's wall time.
+    the run record's heads, the D x K class means of the final and of the
+    initial features and the K x D classifier (what compare_heads reads),
+    and the job's wall time.
     Module-level so that a pool worker resolves it by reference.
     """
     t0 = time.perf_counter()
@@ -534,9 +514,16 @@ def _run_head_jobs(jobs: list, workers: int) -> list:
     return results
 
 
-def _finish_run(cfg, out: Path, results: list, duration_s: float) -> RunRecord:
-    """Raise the first failed head in head order, or compare the heads and
-    write report.json. results are the run's head-job results in head order."""
+def _finish_run(cfg, out: Path, results: list, duration_s: float) -> dict:
+    """Raise the first failed head in head order, or compare the heads,
+    write the run record to report.json and return it. results are the
+    run's head-job results in head order.
+
+    The record is a dict of JSON values: config_hash, name, seed,
+    duration_s, heads (head name -> _head_summary), shared_h0_sha256,
+    condition_report (compare_heads' report as a dict, or None) and
+    condition_note (None, or why there is no report or ratio).
+    """
     summaries, finals = {}, {}
     for result in results:
         if isinstance(result, Exception):
@@ -551,7 +538,7 @@ def _finish_run(cfg, out: Path, results: list, duration_s: float) -> RunRecord:
     if cfg.head == "both" and cfg.imbalance is not None:
         condition_report, condition_note = compare_heads(cfg, means0, finals)
 
-    record = RunRecord(
+    record = dict(
         config_hash=cfg.config_hash(),
         name=cfg.name,
         seed=cfg.train.seed,
@@ -561,20 +548,21 @@ def _finish_run(cfg, out: Path, results: list, duration_s: float) -> RunRecord:
         condition_report=condition_report.as_dict() if condition_report else None,
         condition_note=condition_note,
     )
-    (out / "report.json").write_text(json.dumps(record.as_dict(), indent=2, sort_keys=True))
+    (out / "report.json").write_text(json.dumps(record, indent=2, sort_keys=True))
     return record
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir=None) -> RunRecord:
+def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
     """Train the configured head(s) on one synthesized dataset.
 
     Each head trains in a head job (_run_head_jobs: in this process on one
     usable CPU, else in a pool of one worker per usable CPU and at most one
     per head); all start from the same backbone-feature and classifier
     draws, and the record carries the H0 hash per head, asserted identical.
-    Artifacts go under out_dir (default: the config's output_dir), and
-    the record's duration_s is the run's wall time. Nothing is printed;
-    `collapsekit run` prints the record's summary.
+    Artifacts go under out_dir (default: the config's output_dir).
+    Returns the run record that report.json holds (see _finish_run), whose
+    duration_s is the run's wall time. Nothing is printed; `collapsekit
+    run` prints the record's summary.
     """
     t0 = time.perf_counter()
     out = Path(out_dir) if out_dir is not None else Path(cfg.output_dir)
@@ -621,10 +609,10 @@ def run_sweep(config_dir, preset: str = "desk", out_root=None, seed=None,
     Two configs that would write the same run directory (out_root/<name>,
     else their output_dir) are a ConfigError before any job starts. Else a
     config that fails to load, or whose head fails, does not stop the
-    others. RunRecords, keyed by config hash, are merged into
-    sweep_summary.json alongside the configs (or under out_root when given),
-    with one record per failed config, keyed by its file name: its name,
-    error class and message. A record's duration_s is the sum of its heads'
+    others. The run records (see _finish_run), keyed by config hash, are
+    merged as they are into sweep_summary.json alongside the configs (or
+    under out_root when given), with one record per failed config, keyed by
+    its file name: its name, error class and message. A record's duration_s is the sum of its heads'
     job times. The summary is written before the first failure (in file
     order) is re-raised, so the CLI exits with that error's code.
     """
@@ -635,7 +623,7 @@ def run_sweep(config_dir, preset: str = "desk", out_root=None, seed=None,
     runs, owners = {}, {}
     for path in paths:
         try:
-            cfg = with_seed(load_config(path, preset=preset), seed)
+            cfg = load_config(path, preset=preset, seed=seed)
         except Exception as exc:  # reported in the summary, then re-raised
             runs[path] = exc
             continue
@@ -660,7 +648,7 @@ def run_sweep(config_dir, preset: str = "desk", out_root=None, seed=None,
             failures.append(exc)
             merged[path.name] = dict(name=path.stem, error=type(exc).__name__, message=str(exc))
         else:
-            merged[record.config_hash] = record.as_dict()
+            merged[record["config_hash"]] = record
     summary_dir = Path(out_root) if out_root else config_dir
     summary_dir.mkdir(parents=True, exist_ok=True)
     (summary_dir / "sweep_summary.json").write_text(json.dumps(merged, indent=2, sort_keys=True))

@@ -93,7 +93,9 @@ def spectral_radius_bound(m) -> float:
 def solve_linear(a, b) -> np.ndarray:
     """Solve a @ x = b with an explicit conditioning check.
 
-    Raises SingularMatrixError when sigma_min / sigma_max < SOLVE_COND_FLOOR.
+    Raises SingularMatrixError when the singular values of the square a
+    give sigma_min / sigma_max < SOLVE_COND_FLOOR (or a is all zeros),
+    before any solve.
     """
     a = as_matrix(a, "a")
     b = as_matrix(b, "b")
@@ -101,18 +103,12 @@ def solve_linear(a, b) -> np.ndarray:
         raise ValueError(f"a must be square, got {a.shape}")
     if b.shape[0] != a.shape[0]:
         raise ValueError(f"b has {b.shape[0]} rows, expected {a.shape[0]}")
-    check_conditioning(a)
-    return np.linalg.solve(a, b)
-
-
-def check_conditioning(a: np.ndarray) -> None:
-    """Raise SingularMatrixError when the square matrix a has
-    sigma_min / sigma_max < SOLVE_COND_FLOOR."""
     s = np.linalg.svd(a, compute_uv=False)
     if s[0] == 0.0 or s[-1] / s[0] < SOLVE_COND_FLOOR:
         raise SingularMatrixError(
             f"matrix is singular to working precision (cond ~ {s[0] / max(s[-1], 1e-300):.3e})"
         )
+    return np.linalg.solve(a, b)
 
 
 def random_orthonormal(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:

@@ -251,8 +251,8 @@ class TrainConfig:
     minority_classes: Optional[tuple] = None
 
     def __post_init__(self):
-        if not self.learning_rate >= 0.0:
-            raise ValueError("learning_rate must be non-negative")
+        if not 0.0 <= self.learning_rate < math.inf:  # NaN fails too
+            raise ValueError("learning_rate must be non-negative and finite")
         if self.steps < 1:
             raise ValueError("steps must be at least 1")
         budgets = (self.e_w, self.e_h, self.feature_budget)
@@ -564,13 +564,12 @@ class _SnapshotBuffer:
 
     def record(self, step, z, w, logits, loss) -> None:
         """Take a snapshot of the state (z, w) with its logits w @ z and its
-        loss, and evaluate the pending ones once they fill a chunk; a
-        non-finite z or w raises ValueError here."""
+        loss, and evaluate the pending ones once they fill a chunk. z and w
+        are finite: train checks its starting z, and every update's ball
+        functionals."""
         slot = len(self.steps)
         self.z[slot] = z
         self.w[slot] = w
-        check_finite(self.z[slot], "features")
-        check_finite(self.w[slot], "w")
         self.logits[slot] = logits
         self.steps.append(step)
         self.losses.append(loss)
@@ -609,6 +608,13 @@ def train(
     with TrainingDivergedError, as does a non-finite loss; the error
     carries the trace collected so far: every snapshot taken before it.
 
+    Finiteness is checked where it can be lost. The classifier is finite
+    (ClassifierWeights checks it) and its projection only shrinks it. The
+    starting features z = head(H0) can overflow: a non-finite z raises
+    ValueError before step 0's loss. Every update must leave both ball
+    functionals finite, and a finite functional with positive weights has
+    finite entries.
+
     A snapshot is recorded with the logits and loss the loop computes for
     its state, and evaluated later. Pending records are evaluated in one
     stacked pass once their features fill SNAPSHOT_CHUNK_ELEMENTS, at the
@@ -643,6 +649,7 @@ def train(
     weights = partition.weights
     h0, head, w = _project_raw(features.h0, weights, head, cls.w, cfg)
     z = head.apply(h0)
+    check_finite(z, "features")
     head_slack = float(np.linalg.norm(head.weight)) / cfg.e_h - 1.0
     n = z.shape[1]
     picks = _true_class_index(labels, n)
@@ -669,8 +676,7 @@ def train(
         snapshots.flush()
         trace.loss_history = np.asarray(losses)
         trace.feasibility_slack_max = slack_max
-        # a usable z and w are finite: step 0's passed record's check, and
-        # every update's passed the ball functionals' finiteness check
+        # a usable z and w are finite: see train's docstring
         if usable:
             trace.features = replace(features, h0=head.preimage(z))
             trace.head = head

@@ -165,15 +165,14 @@ def _class_statistics(h: np.ndarray, partition: ClassPartition,
     )
 
 
-def class_statistics(features_h, labels, k: Optional[int] = None) -> ClassStatistics:
-    """Per-class means plus within/between-class covariances.
+def class_statistics(features_h, labels, k: int) -> ClassStatistics:
+    """Per-class means plus within/between-class covariances of k classes,
+    each of which must hold a sample.
 
     Sigma_W averages squared deviations over all N samples; Sigma_B averages
     squared deviations of the K class means from their unweighted mean.
     """
     h = as_matrix(features_h, "features")
-    if k is None:
-        k = int(np.max(labels)) + 1
     return _class_statistics(h, ClassPartition.build(labels, k, h.shape[1]), np.empty(h.shape))
 
 

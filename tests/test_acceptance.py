@@ -140,7 +140,7 @@ def test_criterion_04_balanced_collapse(balanced_runs):
     results = []
     ok = True
     for head, run in balanced_runs.items():
-        rep = run["record"].heads[head]["final_report"]
+        rep = run["record"]["heads"][head]["final_report"]
         head_ok = rep["nc1"] < 0.05 and rep["nc2"] < 0.05 and rep["nc3"] < 0.05
         time_ok = run["seconds"] < 60.0
         ok = ok and head_ok and time_ok
@@ -149,8 +149,8 @@ def test_criterion_04_balanced_collapse(balanced_runs):
             f"{run['seconds']:.1f}s"
         )
     # the equilibrium head reaches a loss no worse than the explicit head
-    deq_loss = balanced_runs["deq"]["record"].heads["deq"]["final_loss"]
-    ex_loss = balanced_runs["explicit"]["record"].heads["explicit"]["final_loss"]
+    deq_loss = balanced_runs["deq"]["record"]["heads"]["deq"]["final_loss"]
+    ex_loss = balanced_runs["explicit"]["record"]["heads"]["explicit"]["final_loss"]
     ok = ok and deq_loss <= ex_loss + 1e-3
     assert _report(4, "balanced collapse emergence, both heads", ok, "; ".join(results))
 
@@ -179,7 +179,7 @@ def test_criterion_06_loss_floors(balanced_runs):
         with np.load(run_dir / f"state_{head}.npz") as state:
             logits = state["w"] @ state["h"]
             labels = state["labels"]
-        measured = run["record"].heads[head]["final_loss"]
+        measured = run["record"]["heads"][head]["final_loss"]
         consts = ck.constants_from_logits(logits, labels, 4)
         deq_floor, explicit_floor = ck.balanced_loss_floor(1.0, 1.0, 4, consts)
         floor = deq_floor if head == "deq" else explicit_floor
@@ -236,7 +236,7 @@ def test_criterion_08_head_comparison(tmp_path):
             "seed": seed, "log_every": 2000,
         }, name=f"compare-{seed}")
         record = harness.run_experiment(cfg, out_dir=tmp_path / f"seed{seed}")
-        cr = record.condition_report
+        cr = record["condition_report"]
         if cr["nc2_condition_holds"] and cr["nc3_condition_holds"]:
             held.append(seed)
             seed_ok = (

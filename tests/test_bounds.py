@@ -60,6 +60,8 @@ class TestLogShareBound:
             log_share_bound([1.0, 1.0, 1.0], 3, consts)
         with pytest.raises(ValueError, match="K="):
             log_share_bound([1.0, 1.0], 0, consts)
+        with pytest.raises(ValueError, match="1-D array with at least two entries"):
+            log_share_bound([1.0], 0, consts)
 
 
 class TestTightestRatio:
@@ -193,6 +195,12 @@ class TestComparisonConditions:
         with pytest.raises(ValueError, match="e_h"):
             comparison_conditions(1.0, 1.0, np.eye(2), np.eye(2))
 
+    def test_bad_ew_and_gram_shapes(self):
+        with pytest.raises(ValueError, match="e_w must be positive"):
+            comparison_conditions(0.0, 0.5, np.eye(2), np.eye(2))
+        with pytest.raises(ValueError, match="gram shapes must match and be square"):
+            comparison_conditions(1.0, 0.5, np.eye(2), np.eye(3))
+
 
 class TestImbalanceSpec:
     def test_properties(self):
@@ -257,6 +265,8 @@ class TestExtremeImbalance:
     def test_needs_two_majority_classes(self):
         with pytest.raises(ValueError, match="two majority"):
             extreme_imbalance_report(np.ones((3, 2)), np.ones((2, 3)), [0, 1, 2], k_a=1)
+        with pytest.raises(ValueError, match=r"k_a must lie in \[1, 3\]"):
+            extreme_imbalance_report(np.ones((3, 2)), np.ones((2, 3)), [0, 1, 2], k_a=4)
 
     def test_trained_run_near_limit(self):
         # majority fraction 0.999 (3 classes x 2331 vs 7 classes x 1):

@@ -387,6 +387,15 @@ def test_artifact_error_exit_code(tmp_path, capsys, monkeypatch):
     assert "artifact error" in capsys.readouterr().err
 
 
+def test_failed_trace_write_exits_5(tmp_path, capsys):
+    # a directory stands where trace.csv goes, so opening it for writing fails
+    out = tmp_path / "out"
+    (out / "trace.csv").mkdir(parents=True)
+    cfg = _write(tmp_path, "demo.cfg", _cfg_lines())
+    assert main(["run", str(cfg), "--out", str(out)]) == 5
+    assert f"artifact error: while writing {out / 'trace.csv'}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("error", [SingularMatrixError, np.linalg.LinAlgError])
 def test_linear_algebra_exit_code(tmp_path, capsys, monkeypatch, error):
     # a singular solve or a failed numpy factorization maps to exit 6

@@ -68,6 +68,17 @@ def test_flags_a_non_timing_json_field_and_a_missing_file(trees):
     assert "run/explicit/trace.csv (only in one tree)" in differ
 
 
+def test_flags_an_int_float_change(trees):
+    # equal in value, but 1.0 and 1 are not the same JSON
+    a, b = trees
+    for root, ratio in ((a, 1.0), (b, 1)):
+        path = root / "run" / "report.json"
+        report = json.loads(path.read_text())
+        report["heads"]["explicit"]["nc3_cosine_ratio"] = ratio
+        path.write_text(json.dumps(report))
+    assert compare_outputs.compare_trees(a, b)[1] == ["run/report.json"]
+
+
 def test_nothing_to_compare_is_an_error(tmp_path):
     (tmp_path / "a").mkdir()
     (tmp_path / "b").mkdir()

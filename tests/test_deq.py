@@ -48,6 +48,8 @@ class TestSolverPolicy:
             SolverPolicy(epsilon=0.0)
         with pytest.raises(ValueError, match="epsilon must be positive"):
             SolverPolicy(epsilon=float("nan"))
+        with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+            SolverPolicy(epsilon=float("inf"))
         with pytest.raises(ValueError):
             SolverPolicy(t_max=0)
         with pytest.raises(ValueError):
@@ -95,6 +97,10 @@ class TestClosedForm:
         w = np.zeros((3, 3))
         with pytest.raises(ValueError, match="rows"):
             fixed_point_closed_form(w, np.ones((4, 1)))
+        with pytest.raises(ValueError, match="h0 has 4 rows, head expects 3"):
+            fixed_point_iterate(w, np.ones((4, 1)), SolverPolicy())
+        with pytest.raises(ValueError, match=r"upstream has shape \(3, 1\), equilibrium has"):
+            head_gradient(w, np.ones((3, 2)), np.ones((3, 1)))
 
 
 class TestIterate:

@@ -98,6 +98,12 @@ class TestGramDistance:
         with pytest.raises(ValueError, match="symmetric"):
             gram_distance_to_etf(np.array([[1.0, 0.5], [0.0, 1.0]]), 2)
 
+    def test_shape_check(self):
+        with pytest.raises(ValueError, match=r"gram must be 3x3, got \(2, 2\)"):
+            gram_distance_to_etf(np.eye(2), 3)
+        with pytest.raises(ValueError, match=r"gram must be 3x3, got \(2, 2\)"):
+            gram_distance_to_etf_raw(np.eye(2), 3, 1.0)
+
     def test_stack_matches_per_gram_arithmetic_bit_for_bit(self):
         # every distance of a stack equals the one-gram arithmetic of
         # np.linalg.norm, and gram_distance_to_etf is the B = 1 case

@@ -21,7 +21,6 @@ from collapsekit.harness import (
     run_experiment,
     run_sweep,
     synthesize_dataset,
-    with_seed,
     write_imbalance_grid,
     write_trace_csv,
 )
@@ -170,14 +169,24 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=message):
             config_from_dict(raw)
 
-    def test_seed_override(self):
-        cfg = config_from_dict(dict(TINY))
-        assert with_seed(cfg, None) is cfg
-        reseeded = with_seed(cfg, 5)
+    def test_seed_override(self, tmp_path):
+        path = _write_config(tmp_path, [f"{key} = {value}" for key, value in TINY.items()])
+        cfg = load_config(path)
+        assert load_config(path, seed=None).config_hash() == cfg.config_hash()
+        reseeded = load_config(path, seed=5)
         assert reseeded.train.seed == 5
-        assert reseeded.config_hash() == config_from_dict(dict(TINY, seed=5)).config_hash()
+        expected = config_from_dict(dict(TINY, seed=5), name="exp")
+        assert reseeded.config_hash() == expected.config_hash()
         with pytest.raises(ConfigError, match="seed must be non-negative"):
-            with_seed(cfg, -1)
+            load_config(path, seed=-1)
+
+    def test_seed_override_replaces_an_invalid_file_seed(self, tmp_path):
+        # the override replaces the file's value before validation
+        lines = [f"{key} = {value}" for key, value in dict(TINY, seed=-3).items()]
+        path = _write_config(tmp_path, lines)
+        with pytest.raises(ConfigError, match="seed must be non-negative"):
+            load_config(path)
+        assert load_config(path, seed=2).train.seed == 2
 
 
 class TestConfigHash:
@@ -279,7 +288,18 @@ class TestExportGram:
         assert parsed[0, 0] == 1.0  # the label-0 sample leads
 
 
+def test_rows_that_do_not_read_back_fail_self_validation(tmp_path):
+    # the file holds the text "1.0", which is not the float the row gave
+    with pytest.raises(OSError, match="self-validation failed re-reading"):
+        harness._write_validated_csv(tmp_path / "x.csv", ["a"], [[1.0]])
+
+
 class TestRunExperiment:
+    def test_returns_the_record_report_json_holds(self, tmp_path):
+        record = run_experiment(config_from_dict(dict(BOTH_IMBALANCED)), out_dir=tmp_path)
+        assert record["condition_report"] is not None
+        assert record == json.loads((tmp_path / "report.json").read_text())
+
     def test_artifacts_and_record(self, tmp_path):
         cfg = config_from_dict(dict(TINY), name="tiny")
         record = run_experiment(cfg, out_dir=tmp_path)
@@ -293,7 +313,7 @@ class TestRunExperiment:
         assert "explicit" in report["heads"]
         summary = report["heads"]["explicit"]
         assert summary["h0_init_sha256"] == report["shared_h0_sha256"]
-        assert record.heads["explicit"]["final_loss"] == pytest.approx(
+        assert record["heads"]["explicit"]["final_loss"] == pytest.approx(
             summary["final_loss"]
         )
 
@@ -333,16 +353,16 @@ class TestRunExperiment:
         record = run_experiment(cfg, out_dir=tmp_path)
         assert (tmp_path / "explicit/trace.csv").is_file()
         assert (tmp_path / "deq/trace.csv").is_file()
-        shas = {s["h0_init_sha256"] for s in record.heads.values()}
+        shas = {s["h0_init_sha256"] for s in record["heads"].values()}
         assert len(shas) == 1
-        assert record.condition_report is not None
-        assert record.condition_report["nc2_distance_explicit"] > 0
-        assert record.condition_report["nc3_cosine_ratio"] > 0
+        assert record["condition_report"] is not None
+        assert record["condition_report"]["nc2_distance_explicit"] > 0
+        assert record["condition_report"]["nc3_cosine_ratio"] > 0
 
     def test_comparison_matches_saved_artifacts_exactly(self, tmp_path):
         cfg = config_from_dict(dict(BOTH_IMBALANCED))
         record = run_experiment(cfg, out_dir=tmp_path)
-        report = record.condition_report
+        report = record["condition_report"]
         cosines = {}
         for head in ("explicit", "deq"):
             with np.load(tmp_path / head / f"state_{head}.npz") as state:
@@ -372,9 +392,9 @@ class TestRunExperiment:
             "steps": 20, "log_every": 20, "e_h": 0.5, "feature_budget": 0.5,
         })
         record = run_experiment(cfg, out_dir=tmp_path)
-        assert record.condition_report["nc3_cosine_ratio"] is None
-        assert record.condition_report["nc2_distance_explicit"] > 0
-        assert "cosine" in record.condition_note
+        assert record["condition_report"]["nc3_cosine_ratio"] is None
+        assert record["condition_report"]["nc2_distance_explicit"] > 0
+        assert "cosine" in record["condition_note"]
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["condition_report"]["nc3_cosine_ratio"] is None
 
@@ -385,8 +405,8 @@ class TestRunExperiment:
             "steps": 20, "log_every": 20, "e_h": 1.0,
         })
         record = run_experiment(cfg, out_dir=tmp_path)
-        assert record.condition_report is None
-        assert "e_h" in record.condition_note
+        assert record["condition_report"] is None
+        assert "e_h" in record["condition_note"]
 
     def test_reexport_grams(self, tmp_path):
         cfg = config_from_dict(dict(TINY))

@@ -75,6 +75,8 @@ class TestPseudoInverse:
             pseudo_inverse(np.full((2, 3, 3), np.inf))
         with pytest.raises(ValueError, match="at least 2-D"):
             pseudo_inverse(np.ones(3))
+        with pytest.raises(ValueError, match="at least one row and column"):
+            pseudo_inverse(np.ones((2, 0, 3)))
 
     def test_cutoff_bounds(self):
         with pytest.raises(ValueError, match="rel_cutoff"):

@@ -467,7 +467,7 @@ class TestTrain:
         # ball projections rescale any finite overshoot back inside, so the
         # only route to a non-finite loss is an overflowing update
         with pytest.raises(TrainingDivergedError) as excinfo:
-            self._run(steps=200, learning_rate=float("inf"))
+            self._run(steps=200, learning_rate=1e308)
         trace = excinfo.value.trace
         assert trace is not None
         assert len(trace.snapshots) >= 1
@@ -849,6 +849,8 @@ class TestValidation:
             FeatureSet(h0=np.ones((2, 3)), labels=[0, 0, 0], k=2)
         with pytest.raises(ValueError, match="labels"):
             FeatureSet(h0=np.ones((2, 3)), labels=[0, 1], k=2)
+        with pytest.raises(ValueError, match="need at least two classes, got k=1"):
+            FeatureSet(h0=np.ones((2, 3)), labels=[0, 0, 0], k=1)
 
     def test_config_checks(self):
         with pytest.raises(ValueError):
@@ -860,6 +862,10 @@ class TestValidation:
         nan = float("nan")
         with pytest.raises(ValueError, match="learning_rate must be non-negative"):
             TrainConfig(learning_rate=nan)
+        with pytest.raises(ValueError, match="learning_rate must be non-negative and finite"):
+            TrainConfig(learning_rate=float("inf"))
+        with pytest.raises(ValueError, match="log_every must be at least 1"):
+            TrainConfig(log_every=0)
         for budget in ("e_w", "e_h", "feature_budget"):
             with pytest.raises(ValueError, match="budgets must be positive"):
                 TrainConfig(**{budget: nan})
@@ -905,6 +911,44 @@ class TestValidation:
         assert calls == []
         train(features, head, cls, replace(cfg, minority_classes=(2, 3)))
         assert len(calls) == 21
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: ExplicitHead(weight=np.ones((3, 2))).preimage(np.ones((3, 1))),
+         "explicit head maps 2 -> 3 dims; d0 >= d is required"),
+        (lambda: head_preimage(ExplicitHead(weight=np.eye(3)), np.ones((2, 1))),
+         "z has 2 rows, head outputs 3"),
+        (lambda: forward(FeatureSet(h0=np.eye(3), labels=[0, 1, 1], k=2),
+                         ExplicitHead(weight=np.eye(3)), ClassifierWeights(w=np.ones((2, 4)))),
+         "classifier expects 4-dim features, head produced 3"),
+        (lambda: initialize_explicit_head(5, 4, 1.0, make_rng(0)),
+         "explicit head needs d0 >= d, got d0=4, d=5"),
+    ], ids=["preimage", "head_preimage", "forward", "initialize_explicit_head"])
+    def test_dimension_mismatch_raises(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+    @pytest.mark.parametrize("head", [ExplicitHead(weight=2.0 * np.eye(3)),
+                                      DeqHead(weight=0.5 * np.eye(3))],
+                             ids=["explicit", "deq"])
+    def test_overflowing_head_output_raises_before_the_first_loss(self, monkeypatch, head):
+        # finite backbone features whose head output 2 * h0 overflows; the
+        # weight and the features lie inside their budgets' balls or have a
+        # non-finite functional, so no projection rescales them
+        features = FeatureSet(h0=np.full((3, 4), 1e308), labels=[0, 0, 1, 1], k=2)
+        cls = ClassifierWeights(w=np.ones((2, 3)))
+        calls = []
+        softmax_terms = lpm_mod._softmax_terms
+
+        def counting(*args):
+            calls.append(1)
+            return softmax_terms(*args)
+
+        monkeypatch.setattr(lpm_mod, "_softmax_terms", counting)
+        with np.errstate(over="ignore"), pytest.raises(
+            ValueError, match="features contains non-finite entries"
+        ):
+            train(features, head, cls, TrainConfig(steps=5, e_w=10.0, e_h=10.0))
+        assert calls == []
 
     def test_featureset_rebuilds_a_partition_of_other_labels(self):
         features = FeatureSet(h0=np.eye(3), labels=[0, 1, 1], k=2)

@@ -49,7 +49,7 @@ class TestClassStatistics:
         protos = rng.standard_normal((5, 3))
         labels = np.array([0, 0, 1, 1, 2, 2])
         h = protos[:, labels]
-        stats = class_statistics(h, labels)
+        stats = class_statistics(h, labels, 3)
         np.testing.assert_allclose(stats.sigma_w, 0.0, atol=1e-14)
         np.testing.assert_allclose(stats.class_means, protos, atol=1e-14)
 
@@ -57,7 +57,7 @@ class TestClassStatistics:
         e1 = np.zeros(4)
         e1[0] = 1.0
         h = np.column_stack([e1, e1, -e1, -e1])
-        stats = class_statistics(h, [0, 0, 1, 1])
+        stats = class_statistics(h, [0, 0, 1, 1], 2)
         np.testing.assert_allclose(stats.global_mean, 0.0, atol=1e-15)
         np.testing.assert_allclose(stats.sigma_b, np.outer(e1, e1), atol=1e-15)
 
@@ -76,7 +76,7 @@ class TestClassStatistics:
     def test_scatters_are_psd(self):
         rng = make_rng(4)
         labels = np.repeat(np.arange(3), 5)
-        stats = class_statistics(rng.standard_normal((4, 15)), labels)
+        stats = class_statistics(rng.standard_normal((4, 15)), labels, 3)
         for mat in (stats.sigma_w, stats.sigma_b):
             np.testing.assert_allclose(mat, mat.T, atol=1e-10)
             assert np.linalg.eigvalsh(mat).min() > -1e-10
@@ -85,13 +85,22 @@ class TestClassStatistics:
         with pytest.raises(ValueError, match="empty"):
             class_statistics(np.ones((2, 3)), [0, 0, 1], k=3)
 
+    def test_missing_top_class_raises(self):
+        # k is not guessed from the labels, so an absent top class is an
+        # empty class like any other
+        labels = [0, 0, 1, 1, 1, 0]
+        with pytest.raises(ValueError, match=r"empty: \[2\]"):
+            class_statistics(np.ones((2, 6)), labels, 3)
+        with pytest.raises(TypeError):
+            class_statistics(np.ones((2, 6)), labels)
+
 
 class TestNc1:
     def test_collapsed_is_zero(self):
         rng = make_rng(1)
         protos = rng.standard_normal((4, 2))
         labels = np.array([0, 0, 1, 1])
-        stats = class_statistics(protos[:, labels], labels)
+        stats = class_statistics(protos[:, labels], labels, 2)
         assert nc1(stats) == 0.0
 
     def test_half_for_matched_rank_one(self):
@@ -112,7 +121,7 @@ class TestNc1:
     def test_positive_when_not_collapsed(self):
         rng = make_rng(2)
         labels = np.repeat(np.arange(3), 6)
-        stats = class_statistics(rng.standard_normal((5, 18)), labels)
+        stats = class_statistics(rng.standard_normal((5, 18)), labels, 3)
         assert nc1(stats) > 1e-3
 
     def test_matches_independent_svd_path(self):
@@ -192,6 +201,10 @@ class TestNc3:
     def test_shape_error(self):
         with pytest.raises(ValueError, match="K x D"):
             nc3(np.ones((3, 4)), np.ones((3, 4)))
+
+    def test_zero_classifier_error(self):
+        with pytest.raises(ValueError, match="classifier and class means must both be non-zero"):
+            nc3(np.zeros((3, 4)), np.ones((4, 3)))
 
 
 class TestMinorityCollapse:

@@ -6,7 +6,9 @@ Compared, by path relative to each tree's root:
   * every *.csv, byte for byte;
   * every state_*.npz, array by array: same names, dtypes, shapes and bytes;
   * every report.json and sweep_summary.json as parsed JSON, with the timing
-    and location fields (duration_s, trace_path) dropped at any depth.
+    and location fields (duration_s, trace_path) dropped at any depth, then
+    re-serialized with sorted keys: a value that changes type (1.0 and 1)
+    or sign (0.0 and -0.0) differs, whatever the key order.
 A file of these kinds that exists in only one tree is a difference; other
 files are not compared. Prints each differing path, then a summary line.
 Exits 0 when the trees match, 1 on any difference, and 2 when neither tree
@@ -47,6 +49,10 @@ def _drop_timing(value):
     return value
 
 
+def _json_text(path: Path) -> str:
+    return json.dumps(_drop_timing(json.loads(path.read_text())), sort_keys=True)
+
+
 def _npz_equal(a: Path, b: Path) -> bool:
     with np.load(a, allow_pickle=False) as fa, np.load(b, allow_pickle=False) as fb:
         if sorted(fa.files) != sorted(fb.files):
@@ -63,7 +69,7 @@ def files_equal(a: Path, b: Path) -> bool:
     if a.suffix == ".npz":
         return _npz_equal(a, b)
     if a.name in JSON_NAMES:
-        return _drop_timing(json.loads(a.read_text())) == _drop_timing(json.loads(b.read_text()))
+        return _json_text(a) == _json_text(b)
     return filecmp.cmp(a, b, shallow=False)
 
 
