@@ -13,10 +13,8 @@ Covers four pieces of machinery:
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -232,14 +230,14 @@ class ImbalanceSpec:
 
 @dataclass(frozen=True)
 class ConditionReport:
-    """Scalar preconditions of the head comparison plus, once a paired run
-    has been measured, the realized quantities they gate.
+    """Scalar preconditions of the imbalanced head comparison.
 
     nc2_margin is the worst-case slack of
         e_h < 2 S_ij - m_ij < 1/(1 - e_h)
     over off-diagonal entries (negative = violated); nc2_tight_margin uses
     the stricter lower edge e_h/2 + 1/(2(1-e_h)) that one case split yields.
-    The realized distances/ratio stay None until a harness fills them in.
+    The quantities these conditions gate are measured on trained heads, by
+    harness.compare_heads.
     """
 
     nc2_condition_holds: bool
@@ -247,12 +245,6 @@ class ConditionReport:
     nc2_tight_margin: float
     nc3_condition_holds: bool
     nc3_margin: float
-    nc2_distance_explicit: Optional[float] = None
-    nc2_distance_deq: Optional[float] = None
-    nc3_cosine_ratio: Optional[float] = None
-
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 def comparison_conditions(e_w: float, e_h: float, gram_h0, etf_target) -> ConditionReport:

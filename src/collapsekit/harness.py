@@ -400,38 +400,32 @@ def _mean_class_cosine(means: np.ndarray, w: np.ndarray) -> float:
 def compare_heads(cfg: ExperimentConfig, means0: np.ndarray, finals: dict) -> tuple:
     """Cross-head comparison for an imbalanced both-heads run.
 
-    The scalar preconditions are evaluated on means0, the D x K class means
-    of the backbone features both heads started from (the backbone output
-    is standardized across models, so their Gram is the m matrix the
-    conditions refer to). The realized quantities they gate are measured
-    on the trained states, which finals maps, per head, to (final class
-    means, classifier): raw Gram distances of the class means to the
-    budget-scaled ETF Gram, and the ratio of mean feature/classifier
-    cosines (deq over explicit).
+    Returns (condition_report, note). condition_report is None or the run
+    record's dict: the ConditionReport fields, evaluated on means0 (the D x K
+    class means of the backbone features both heads started from; the
+    backbone output is standardized across models, so their Gram is the m
+    matrix the conditions refer to), plus what they gate, measured on the
+    trained states that finals maps per head to (final class means,
+    classifier): nc2_distance_<head>, the raw Gram distance of the class
+    means to the budget-scaled ETF Gram, and nc3_cosine_ratio, the ratio of
+    mean feature/classifier cosines, deq over explicit. note is None or why
+    there is no report or ratio.
     """
     if cfg.train.e_h >= 1.0:
         return None, "e_h >= 1: comparison conditions undefined (1/(1-e_h) diverges)"
     target = imbalance_etf_target(cfg.k, cfg.train.feature_budget)
-    conditions = comparison_conditions(
+    report = dataclasses.asdict(comparison_conditions(
         cfg.train.e_w, cfg.train.e_h, means0.T @ means0, target
-    )
+    ))
     alpha = np.sqrt(cfg.train.feature_budget)
-    dist = {name: gram_distance_to_etf_raw(means.T @ means, cfg.k, alpha)
-            for name, (means, _) in finals.items()}
+    for name, (means, _) in finals.items():
+        report[f"nc2_distance_{name}"] = gram_distance_to_etf_raw(means.T @ means, cfg.k, alpha)
     explicit_cosine = _mean_class_cosine(*finals["explicit"])
     if explicit_cosine == 0.0:
-        cos_ratio = None
-        note = "explicit head's mean class cosine is 0: nc3_cosine_ratio undefined"
-    else:
-        cos_ratio = _mean_class_cosine(*finals["deq"]) / explicit_cosine
-        note = None
-    merged = dataclasses.replace(
-        conditions,
-        nc2_distance_explicit=dist["explicit"],
-        nc2_distance_deq=dist["deq"],
-        nc3_cosine_ratio=cos_ratio,
-    )
-    return merged, note
+        report["nc3_cosine_ratio"] = None
+        return report, "explicit head's mean class cosine is 0: nc3_cosine_ratio undefined"
+    report["nc3_cosine_ratio"] = _mean_class_cosine(*finals["deq"]) / explicit_cosine
+    return report, None
 
 
 # ---------------------------------------------------------------------------
@@ -521,8 +515,8 @@ def _finish_run(cfg, out: Path, results: list, duration_s: float) -> dict:
 
     The record is a dict of JSON values: config_hash, name, seed,
     duration_s, heads (head name -> _head_summary), shared_h0_sha256,
-    condition_report (compare_heads' report as a dict, or None) and
-    condition_note (None, or why there is no report or ratio).
+    condition_report and condition_note (compare_heads' pair, stored as it
+    is; None and None unless the run is an imbalanced head = both run).
     """
     summaries, finals = {}, {}
     for result in results:
@@ -545,7 +539,7 @@ def _finish_run(cfg, out: Path, results: list, duration_s: float) -> dict:
         duration_s=duration_s,
         heads=summaries,
         shared_h0_sha256=h0_shas.pop(),
-        condition_report=condition_report.as_dict() if condition_report else None,
+        condition_report=condition_report,
         condition_note=condition_note,
     )
     (out / "report.json").write_text(json.dumps(record, indent=2, sort_keys=True))

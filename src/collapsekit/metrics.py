@@ -65,8 +65,12 @@ class NcReport:
 
 def check_labels(labels, k: int, n: Optional[int] = None) -> np.ndarray:
     """labels as a 1-D int64 array of n entries (when given) in [0, k);
-    alone, without ClassPartition's check, for a batch that may miss a class."""
-    labels = np.asarray(labels, dtype=np.int64)
+    alone, without ClassPartition's check, for a batch that may miss a class.
+    Labels of a float or bool dtype are rejected, not truncated."""
+    labels = np.asarray(labels)
+    if labels.dtype.kind not in "iu":
+        raise ValueError(f"labels must be integers, got dtype {labels.dtype}")
+    labels = labels.astype(np.int64, copy=False)
     if labels.ndim != 1 or (n is not None and labels.shape[0] != n):
         entries = "" if n is None else f" with {n} entries"
         raise ValueError(f"labels must be 1-D{entries}, got shape {labels.shape}")
@@ -94,12 +98,18 @@ class ClassPartition:
 
     @classmethod
     def build(cls, labels, k: int, n: Optional[int] = None) -> "ClassPartition":
+        """Check the labels and group them. Its work and any message are
+        bounded by N: k > N fails before counting, and the message of empty
+        classes names at most the first 10."""
         labels = check_labels(labels, k, n)
+        if k > labels.shape[0]:
+            raise ValueError(f"{k} classes need at least {k} samples, got {labels.shape[0]}")
         counts = np.bincount(labels, minlength=k)
-        if np.any(counts == 0):
-            empty = np.flatnonzero(counts == 0)
+        empty = np.flatnonzero(counts == 0)
+        if empty.size:
+            more = f" and {empty.size - 10} more" if empty.size > 10 else ""
             raise ValueError(
-                f"every class needs at least one sample; empty: {empty.tolist()}"
+                f"every class needs at least one sample; empty: {empty[:10].tolist()}{more}"
             )
         order = np.argsort(labels, kind="stable")
         index = tuple(np.split(order, np.cumsum(counts)[:-1]))

@@ -52,6 +52,11 @@ class TestLogShareBound:
         assert violations == 0
         assert worst <= 1e-12
 
+    def test_fuzz_counts_every_gap_above_tol(self):
+        violations, worst = fuzz_log_bound(20, 0, tol=-math.inf)
+        assert violations == 20
+        assert worst <= 1e-12
+
     def test_validation(self):
         consts = BoundConstants(c1=1.0, c2=1.0, k=3)
         with pytest.raises(ValueError, match="positive"):
@@ -150,6 +155,8 @@ class TestBalancedLossFloor:
             balanced_loss_floor(0.0, 1.0, 3, consts)
         with pytest.raises(ValueError, match="K="):
             balanced_loss_floor(1.0, 1.0, 4, consts)
+        with pytest.raises(ValueError, match="need at least two classes"):
+            balanced_loss_floor(1.0, 1.0, 1, consts)
 
 
 class TestComparisonConditions:

@@ -3,6 +3,8 @@ import functools
 import importlib.util
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -163,6 +165,16 @@ class TestChecks:
         out = capsys.readouterr().out
         assert "violations: 0" in out
 
+    @pytest.mark.parametrize("module", ["collapsekit", "collapsekit.cli"])
+    def test_module_entry_points(self, module):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        env = dict(os.environ, PYTHONPATH=path)
+        done = subprocess.run([sys.executable, "-m", module, "lemma-fuzz", "--draws", "5"],
+                              env=env, capture_output=True, text=True)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout.splitlines()[-1] == "PASS"
+
 
 class TestExportGram:
     def test_reexport(self, tmp_path):
@@ -220,13 +232,18 @@ class TestExportGram:
             arrays["k"] = np.array([3, 3])
         elif how == "nan-h":  # a NaN entry in h
             arrays["h"][0, 0] = np.nan
+        elif how == "float-labels":  # fractional labels that truncate to the saved ones
+            arrays["labels"] = labels + np.array([0, 0.9, 0.3, 0.6] * 3)
+        elif how == "huge-k":  # far more classes than the 12 samples
+            arrays["k"] = np.array(100000)
         else:  # a negative label
             arrays["labels"] = np.where(np.arange(labels.size) == 1, -1, labels)
         np.savez(state, **arrays)
 
     @pytest.mark.parametrize(
         "how", ["truncated", "missing-array", "short-labels", "empty-class", "negative-label",
-                "empty-top-class", "missing-k", "flat-h", "two-k", "nan-h"]
+                "empty-top-class", "missing-k", "flat-h", "two-k", "nan-h", "float-labels",
+                "huge-k"]
     )
     def test_bad_state_exit_2(self, tmp_path, capsys, how):
         cfg = _write(tmp_path, "demo.cfg", _cfg_lines())
@@ -241,6 +258,8 @@ class TestExportGram:
         assert (out / "gram_class_means.csv").read_bytes() == means
         if how == "empty-top-class":
             assert "empty: [2]" in err
+        if how == "huge-k":
+            assert len(err) < 300
 
     def test_unreadable_state_exit_5(self, tmp_path, capsys):
         # a directory named like a state file: np.load raises an OSError

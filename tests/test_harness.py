@@ -700,6 +700,14 @@ class TestHeadJobs:
         harness._run_head_jobs(jobs[:2], workers=2)
         assert submitted == ["long", "small"]
 
+    def test_heads_from_different_h0_write_no_report(self, tmp_path):
+        cfg = config_from_dict(dict(BOTH_BALANCED), name="pair")
+        results = harness._run_head_jobs(harness._head_jobs(cfg, tmp_path), workers=1)
+        results[1][0]["h0_init_sha256"] = "0" * 64
+        with pytest.raises(AssertionError, match="same H0"):
+            harness._finish_run(cfg, tmp_path, results, 0.0)
+        assert not (tmp_path / "report.json").exists()
+
 
 def test_write_trace_csv_validates(tmp_path):
     cfg = config_from_dict(dict(TINY))

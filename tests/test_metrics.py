@@ -412,8 +412,9 @@ class TestLabelCheck:
             lambda h, w, labels: extreme_imbalance_report(w, h, labels, k_a=2),
     }
 
-    @pytest.mark.parametrize("labels", [[0, 1, -1, 2], [0, 1, 3, 2], [0, 1, 2], [[0, 1, 2, 2]]],
-                             ids=["negative", "too-large", "short", "2-D"])
+    @pytest.mark.parametrize("labels", [[0, 1, -1, 2], [0, 1, 3, 2], [0, 1, 2], [[0, 1, 2, 2]],
+                                        [0, 1.7, 2.2, 1]],
+                             ids=["negative", "too-large", "short", "2-D", "fractional"])
     @pytest.mark.parametrize("call", sorted(CALLS))
     def test_bad_labels_raise(self, call, labels):
         with pytest.raises(ValueError, match="labels must"):
@@ -427,3 +428,11 @@ class TestLabelCheck:
         constants_from_logits(logits, labels, 3)
         with pytest.raises(ValueError, match="every class"):
             ClassPartition.build(labels, 3, 4)
+
+    def test_partition_messages_are_bounded_by_n(self):
+        # 11 empty classes: the first 10 are named
+        with pytest.raises(ValueError) as info:
+            ClassPartition.build([0] * 12, 12)
+        assert str(info.value).endswith("empty: [1, 2, 3, 4, 5, 6, 7, 8, 9, 10] and 1 more")
+        with pytest.raises(ValueError, match="100000 classes need at least 100000 samples, got 12"):
+            ClassPartition.build([0] * 12, 100000)

@@ -35,3 +35,16 @@ def test_deq_chunks_stops_blocks_apart_in_its_first_chunk(tmp_path):
         iters = [row["solver_mean_iters"] for row in csv.DictReader(fh)][:chunk]
     assert len(iters) == chunk > 1
     assert len(set(iters)) >= 2
+
+
+def test_refuses_an_out_that_holds_files(tmp_path, monkeypatch, capsys):
+    # a file left by an earlier revision would be compared as if written now
+    (tmp_path / "gram_samples.csv").write_text("stale\n")
+
+    def no_command(*args, cwd):
+        raise AssertionError("a command ran")
+
+    monkeypatch.setattr(reference_runs, "_collapsekit", no_command)
+    assert reference_runs.main([str(tmp_path)]) == 2
+    assert "not empty" in capsys.readouterr().err
+    assert not (tmp_path / "configs").exists()

@@ -10,11 +10,14 @@ head jobs on a two-worker pool into OUT/grid, and the same grid runs again
 in-process (`--workers 1`) into OUT/grid-serial. Every command runs with
 OPENBLAS_NUM_THREADS=1, so its outputs are reproducible bit for bit, and
 uses the collapsekit under src/ next to this tools/ directory. Run it at two
-revisions and compare the trees with
+revisions into two fresh directories and compare the trees with
 
     python tools/compare_outputs.py OUT_A OUT_B
 
-Exits with the first failing command's exit code, or 0.
+An OUT that already holds files is refused (exit 2) before anything is
+written: a file left by an earlier revision would be compared as if this
+one had written it. Else exits with the first failing command's exit code,
+or 0.
 """
 
 from __future__ import annotations
@@ -114,8 +117,11 @@ def _collapsekit(*args, cwd: Path) -> int:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("out", type=Path, help="output directory (created)")
+    parser.add_argument("out", type=Path, help="output directory (created; must be empty)")
     out = parser.parse_args(argv).out.resolve()
+    if out.is_dir() and any(out.iterdir()):
+        print(f"{out} is not empty; give a fresh directory", file=sys.stderr)
+        return 2
     out.mkdir(parents=True, exist_ok=True)
     for path in write_configs(out / "configs"):
         code = _collapsekit("run", path, "--out", out / path.stem, "--quiet",
