@@ -65,7 +65,7 @@ class SolverPolicy:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FixedPointResult:
     """Outcome of one Picard solve over a D x N block of samples.
 

@@ -38,7 +38,7 @@ def normalized_etf_gram(k: int) -> np.ndarray:
     return centering_matrix(k) / math.sqrt(k - 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EtfFrame:
     """A concrete D x K simplex ETF together with its partial-orthogonal
     factor P."""

@@ -44,6 +44,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import numbers
 import os
 import time
 import zipfile
@@ -90,6 +91,8 @@ _SCHEMA = {
     "k_a": int, "k_b": int, "n_a": int, "r": int, "output_dir": str,
     **_TRAIN_KEYS, **_SOLVER_KEYS,
 }
+# what config_from_dict takes for each schema type (never a bool)
+_ACCEPTED = {float: numbers.Real, int: numbers.Integral, str: str}
 
 
 @dataclass(frozen=True)
@@ -170,10 +173,13 @@ class ExperimentConfig:
 def config_from_dict(raw: dict, preset: str = "desk", name: str = "experiment") -> ExperimentConfig:
     """Build a config from a flat dict of primitive values.
 
-    A training or solver key the dict omits takes its preset value, else
-    its TrainConfig or SolverPolicy default. d defaults to d0 (and vice
-    versa) so the zero-weight equilibrium head and the identity explicit
-    head coincide.
+    Values are typed as load_config types a file's: a float key takes a
+    finite real number, an int key an integer (bool is neither), stored as
+    float or int, and a str key a str; any other value is a ConfigError. A
+    training or solver key the dict omits takes its preset value, else its
+    TrainConfig or SolverPolicy default. d defaults to d0 (and vice versa)
+    so the zero-weight equilibrium head and the identity explicit head
+    coincide.
     """
     if preset not in PRESETS:
         raise ConfigError(f"unknown preset {preset!r}; choose from {sorted(PRESETS)}")
@@ -183,7 +189,11 @@ def config_from_dict(raw: dict, preset: str = "desk", name: str = "experiment") 
 
     values = {**PRESETS[preset], **raw}
     for key, value in values.items():
-        if _SCHEMA[key] is float and not math.isfinite(value):
+        kind = _SCHEMA[key]
+        if isinstance(value, bool) or not isinstance(value, _ACCEPTED[kind]):
+            raise ConfigError(f"{key} must be {kind.__name__}, got {value!r}")
+        values[key] = value = kind(value)
+        if kind is float and not math.isfinite(value):
             raise ConfigError(f"{key} must be finite, got {value!r}")
 
     for key in ("head", "k"):
@@ -241,17 +251,17 @@ def config_from_dict(raw: dict, preset: str = "desk", name: str = "experiment") 
 def load_config(path, preset: str = "desk", seed: Optional[int] = None) -> ExperimentConfig:
     """Parse the flat key = value config format.
 
-    Blank lines and #-comments (full-line or trailing) are ignored; keys are
-    typed per the documented schema; unknown keys are an error. A seed that
-    is not None replaces the file's seed before the config is validated, so
-    it passes the same checks as every other key (a negative one is a
-    ConfigError).
+    The file is UTF-8, with or without a byte-order mark. Blank lines and
+    #-comments (full-line or trailing) are ignored; keys are typed per the
+    documented schema; unknown keys are an error. A seed that is not None
+    replaces the file's seed before the config is validated, so it passes
+    the same checks as every other key (a negative one is a ConfigError).
     """
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not valid UTF-8 ({exc.reason} at byte {exc.start})") from exc
     raw = {}
@@ -409,7 +419,9 @@ def compare_heads(cfg: ExperimentConfig, means0: np.ndarray, finals: dict) -> tu
     classifier): nc2_distance_<head>, the raw Gram distance of the class
     means to the budget-scaled ETF Gram, and nc3_cosine_ratio, the ratio of
     mean feature/classifier cosines, deq over explicit. note is None or why
-    there is no report or ratio.
+    there is no report or ratio. Both heads train over one feasible set in
+    Z, so the measured part compares their starts Z0 = head(H0), not the
+    heads (test_head_comparison_is_a_function_of_z0 in the acceptance tests).
     """
     if cfg.train.e_h >= 1.0:
         return None, "e_h >= 1: comparison conditions undefined (1/(1-e_h) diverges)"

@@ -13,6 +13,9 @@ head equation acting as an exact link to the backbone features. train()
 therefore descends on (W, Z) and derives H0 = link^{-1}(Z) through the head;
 the head weight is a gauge block in these coordinates (the loss does not
 depend on it once Z is free), so it stays at its feasible initialization.
+Both heads thus solve one program over one feasible set, so a run is a
+function of its start Z0 = head(H0) alone, and the feature ball bounds Z,
+not the backbone H0, which is unconstrained.
 Descending instead through the 3-factor chain W @ head @ H0 provably stalls
 in rank-deficient constrained stationary points far from the program's
 optimum (see the chain-rule gradients in loss_and_grads, which remain the
@@ -283,7 +286,7 @@ class TraceSnapshot:
     solver_skip_count: int = 0
 
 
-@dataclass
+@dataclass(eq=False)
 class TrainTrace:
     """Per-snapshot records plus the final parameters and full loss history."""
 
@@ -431,20 +434,6 @@ def _shrink_to_ball(block: np.ndarray, value_fn, budget: float, squared: bool,
     return block, value
 
 
-def _project_raw(h0, weights, head, w, cfg: TrainConfig):
-    """Project (H0, head, W); weights are the feature functional's."""
-    w, _ = _shrink_to_ball(w, classifier_mean_square, cfg.e_w, squared=True)
-    head_w, _ = _shrink_to_ball(head.weight, np.linalg.norm, cfg.e_h, squared=False)
-    if head_w is not head.weight:
-        head = head.with_weight(head_w)
-
-    def induced(h0_candidate):
-        return _feature_norm(head.apply(h0_candidate), weights)
-
-    h0, _ = _shrink_to_ball(h0, induced, cfg.feature_budget, squared=True)
-    return h0, head, w
-
-
 def head_preimage(head: HeadModel, z: np.ndarray) -> np.ndarray:
     """Backbone features H0 whose head output is exactly z.
 
@@ -527,7 +516,15 @@ def project_feasible(
     scales head(H0) by the same factor). Blocks inside their balls, and
     blocks whose functional is not finite, are returned untouched.
     """
-    h0, head, w = _project_raw(features.h0, features.partition.weights, head, cls.w, cfg)
+    w, _ = _shrink_to_ball(cls.w, classifier_mean_square, cfg.e_w, squared=True)
+    head_w, _ = _shrink_to_ball(head.weight, np.linalg.norm, cfg.e_h, squared=False)
+    if head_w is not head.weight:
+        head = head.with_weight(head_w)
+
+    def induced(h0_candidate):
+        return _feature_norm(head.apply(h0_candidate), features.partition.weights)
+
+    h0, _ = _shrink_to_ball(features.h0, induced, cfg.feature_budget, squared=True)
     if h0 is not features.h0:
         features = replace(features, h0=h0)
     if w is not cls.w:
@@ -556,8 +553,8 @@ class _SnapshotBuffer:
         self.z = np.empty((chunk, d, n))
         self.w = np.empty((chunk, partition.k, d))
         self.logits = np.empty((chunk, partition.k, n))
-        self.reporter = NcReporter.build(partition, cfg.metric_cutoff,
-                                         cfg.minority_classes, chunk, d)
+        self.reporter = NcReporter(partition, cfg.metric_cutoff,
+                                   cfg.minority_classes, chunk, d)
         self.diagnose = head.diagnostic_operator(chunk, n)
         self.steps, self.losses = [], []
         self.snapshots = snapshots
@@ -598,7 +595,8 @@ def train(
 ) -> TrainTrace:
     """Projected gradient descent with momentum, feature-primal coordinates.
 
-    The post-head features Z start at head(H0) and descend together with W;
+    The blocks start as project_feasible returns them: the post-head
+    features Z start at head(H0) and descend together with W;
     the backbone features are the exact preimage H0 = link^{-1}(Z) at every
     recorded state, and the head weight holds its feasible initialization
     (its gradient in these coordinates is identically zero). Projections run
@@ -647,8 +645,8 @@ def train(
     """
     labels, k, partition = features.labels, features.k, features.partition
     weights = partition.weights
-    h0, head, w = _project_raw(features.h0, weights, head, cls.w, cfg)
-    z = head.apply(h0)
+    features, head, cls = project_feasible(features, head, cls, cfg)
+    z = head.apply(features.h0)
     check_finite(z, "features")
     head_slack = float(np.linalg.norm(head.weight)) / cfg.e_h - 1.0
     n = z.shape[1]
@@ -662,8 +660,8 @@ def train(
     snapshots = _SnapshotBuffer(head, partition, cfg, z.shape, trace.snapshots)
     losses = []
     # the updates and projections run in place, so the loop owns its w and
-    # z (_project_raw can return cls.w itself); a record copies them
-    w, z = np.copy(w), np.copy(z)
+    # z (project_feasible can return cls itself); a record copies them
+    w, z = np.copy(cls.w), np.copy(z)
     v_w, v_z = np.zeros_like(w), np.zeros_like(z)
     step_w, step_z = np.empty_like(w), np.empty_like(z)
     # the step's work arrays: logits, shifted logits, their exp and the

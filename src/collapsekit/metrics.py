@@ -10,7 +10,7 @@ convention does not).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -22,7 +22,7 @@ from .linalg import DEFAULT_PINV_CUTOFF, as_matrix, frobenius_norms, pseudo_inve
 ZERO_ROW_FLOOR = 1e-30
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClassStatistics:
     """Class means, global mean, and within/between-class scatter.
 
@@ -79,7 +79,7 @@ def check_labels(labels, k: int, n: Optional[int] = None) -> np.ndarray:
     return labels
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClassPartition:
     """Samples grouped by class, built once per label vector; build is the
     one label check (check_labels with n samples, and no class empty).
@@ -287,38 +287,24 @@ def minority_collapse_index(w, minority_classes: Sequence[int]) -> float:
     return float(_mean_pairwise_cosines(w, _row_norms(w), rows, _pair_index(rows.size))[0])
 
 
-@dataclass(frozen=True)
 class NcReporter:
     """The per-run constants of nc_report, built once and applied to every
     snapshot: the class partition, the cosine rows and their flat pair
     index, and the normalized ETF target. The reporter also owns the
     (capacity, D, N) array its stacks' centered features are computed in,
-    allocated once by build; a stack holds at most capacity states."""
+    allocated once; a stack holds at most capacity states.
+    minority_classes (default: all K) must be at least two distinct classes
+    in [0, K), else ValueError; train builds its reporter before step 1."""
 
-    partition: ClassPartition
-    cutoff: float
-    cosine_rows: np.ndarray
-    cosine_pairs: np.ndarray
-    etf_target: np.ndarray
-    centered: np.ndarray = field(repr=False, compare=False)
-
-    @classmethod
-    def build(cls, partition: ClassPartition, cutoff: float,
-              minority_classes: Optional[Sequence[int]], capacity: int,
-              d: int) -> "NcReporter":
-        """minority_classes (default: all K) must be at least two distinct
-        classes in [0, K), else ValueError; train builds its reporter before
-        step 1."""
+    def __init__(self, partition: ClassPartition, cutoff: float,
+                 minority_classes: Optional[Sequence[int]], capacity: int, d: int):
         k = partition.k
-        rows = _cosine_rows(minority_classes if minority_classes is not None else range(k), k)
-        return cls(
-            partition=partition,
-            cutoff=cutoff,
-            cosine_rows=rows,
-            cosine_pairs=_pair_index(rows.size),
-            etf_target=etf.normalized_etf_gram(k),
-            centered=np.empty((capacity, d, partition.labels.shape[0])),
-        )
+        self.partition = partition
+        self.cutoff = cutoff
+        self.cosine_rows = _cosine_rows(range(k) if minority_classes is None else minority_classes, k)
+        self.cosine_pairs = _pair_index(self.cosine_rows.size)
+        self.etf_target = etf.normalized_etf_gram(k)
+        self.centered = np.empty((capacity, d, partition.labels.shape[0]))
 
     def reports(self, h: np.ndarray, w: np.ndarray, logits: np.ndarray, losses) -> list:
         """The reports of B states at once, from validated B x D x N
@@ -371,5 +357,5 @@ def nc_report(
     w = as_matrix(w, "w")
     logits = as_matrix(logits, "logits")
     partition = ClassPartition.build(labels, w.shape[0], h.shape[1])
-    reporter = NcReporter.build(partition, cutoff, minority_classes, 1, h.shape[0])
+    reporter = NcReporter(partition, cutoff, minority_classes, 1, h.shape[0])
     return reporter.reports(h[None], w[None], logits[None], [loss])[0]

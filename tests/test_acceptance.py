@@ -9,6 +9,7 @@ are the ones a user would get.
 import csv
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -253,6 +254,51 @@ def test_criterion_08_head_comparison(tmp_path):
         f"conditions held: {held or 'none'}; reported-not-asserted: "
         f"{failed_conditions}; {elapsed:.0f}s",
     )
+
+
+def test_head_comparison_is_a_function_of_z0():
+    """In the default training mode both heads descend on (W, Z) over one
+    feasible set, so a run is fixed by its start Z0 = head(H0): an explicit
+    head started from the deq head's Z0 retraces the deq run, and the
+    comparison of the two reads equal heads. Criterion 08's config, shorter."""
+    for seed in range(3):
+        cfg = harness.config_from_dict({
+            "head": "both", "k": 4, "d0": D, "d": D,
+            "k_a": 2, "k_b": 2, "n_a": 100, "r": 50,
+            "learning_rate": 0.05, "momentum": 0.9, "steps": 400,
+            "e_w": 1.0, "e_h": 0.5, "feature_budget": 0.5,
+            "seed": seed, "log_every": 100,
+        }, name=f"gauge-{seed}")
+        # the draws of harness._sweep_worker, in its order
+        rng = make_rng(seed)
+        features = harness.synthesize_dataset(cfg, rng)
+        cls = lpm.initialize_classifier(cfg.k, cfg.d, cfg.train.e_w, rng)
+        explicit = lpm.initialize_explicit_head(cfg.d, cfg.d0, cfg.train.e_h, rng)
+        deq = lpm.initialize_deq_head(cfg.d, cfg.train.e_h, rng, policy=cfg.solver)
+        traces = {"deq": lpm.train(features, deq, cls, cfg.train)}
+        # the deq run's start, projected as train projects it
+        projected, deq_head, _ = lpm.project_feasible(features, deq, cls, cfg.train)
+        z0 = lpm.head_features(deq_head, projected.h0)
+        traces["explicit"] = lpm.train(
+            replace(features, h0=explicit.preimage(z0)), explicit, cls, cfg.train
+        )
+
+        np.testing.assert_allclose(traces["explicit"].loss_history,
+                                   traces["deq"].loss_history, rtol=1e-14, atol=0)
+        pairs = zip(traces["explicit"].snapshots, traces["deq"].snapshots, strict=True)
+        for ex, dq in pairs:
+            assert ex.step == dq.step
+            for metric in ("nc1", "nc2", "nc3"):
+                assert math.isclose(getattr(ex.report, metric), getattr(dq.report, metric),
+                                    rel_tol=1e-12), (seed, ex.step, metric)
+        finals = {}
+        for name, trace in traces.items():
+            h = lpm.head_features(trace.head, trace.features.h0)
+            finals[name] = (trace.features.partition.class_means(h), trace.classifier.w)
+        means0 = features.partition.class_means(features.h0)
+        report, note = harness.compare_heads(cfg, means0, finals)
+        assert note is None
+        assert abs(report["nc3_cosine_ratio"] - 1.0) <= 1e-12
 
 
 def test_criterion_09_determinism(balanced_runs, tmp_path):

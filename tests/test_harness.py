@@ -99,6 +99,11 @@ class TestConfigParsing:
         assert capsys.readouterr().err.startswith("config error: ")
         assert not out.exists()
 
+    def test_byte_order_mark(self, tmp_path):
+        path = tmp_path / "bom.cfg"
+        path.write_bytes(b"\xef\xbb\xbfhead = explicit\nk = 3\nbalanced_n = 2\n")
+        assert load_config(path).head == "explicit"
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_config(tmp_path / "nope.cfg")
@@ -163,6 +168,10 @@ class TestConfigParsing:
         ({"balanced_n": 0}, "balanced_n must be positive"),
         ({"balanced_n": None, "k": 4, "k_a": 2, "k_b": 3, "n_a": 10, "r": 5},
          "imbalance spec covers 5 classes but k=4"),
+        # a dict is typed as a config file is
+        ({"steps": 10.0}, "steps must be int, got 10.0"),
+        ({"seed": True}, "seed must be int, got True"),
+        ({"e_w": "1"}, "e_w must be float, got '1'"),
     ])
     def test_bad_values(self, overrides, message):
         raw = {k: v for k, v in dict(TINY, **overrides).items() if v is not None}
@@ -217,6 +226,12 @@ class TestConfigHash:
     ], ids=["balanced-desk", "balanced-paper", "imbalanced-desk", "imbalanced-paper"])
     def test_pinned_hashes(self, raw, preset, expected):
         assert config_from_dict(dict(raw), preset=preset).config_hash() == expected
+
+    def test_a_float_key_hashes_by_value(self):
+        # as a config file's "learning_rate = 1" parses to 1.0
+        hashes = {config_from_dict(dict(TINY, learning_rate=value)).config_hash()
+                  for value in (1, 1.0, np.float64(1.0))}
+        assert len(hashes) == 1
 
     def test_output_dir_excluded(self):
         a = config_from_dict(dict(TINY, output_dir="runs/a"))

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import collapsekit.lpm as lpm_mod
 from collapsekit.deq import SolverPolicy, fixed_point_iterate
 from collapsekit.errors import TrainingDivergedError
+from collapsekit.etf import make_etf
 from collapsekit.linalg import make_rng, spectral_radius_bound
 from collapsekit.lpm import (
     ClassifierWeights,
@@ -32,7 +33,7 @@ from collapsekit.lpm import (
     project_feasible,
     train,
 )
-from collapsekit.metrics import ClassPartition, NcReporter, nc_report
+from collapsekit.metrics import ClassPartition, NcReporter, class_statistics, nc_report
 
 
 def _small_instance(seed, k=3, n=4, d=6, head_kind="explicit", e_h=1.0, gaussian_head=False):
@@ -433,8 +434,7 @@ class TestTrain:
         # back cls.w itself: the in-place updates must not reach it
         features, head, cls = _small_instance(31, k=4, n=6, d=8, head_kind=head_kind, e_h=0.5)
         cfg = TrainConfig(learning_rate=0.05, steps=50, e_h=0.5, log_every=10)
-        weights = lpm_mod.ClassPartition.build(features.labels, features.k).weights
-        assert lpm_mod._project_raw(features.h0, weights, head, cls.w, cfg)[2] is cls.w
+        assert project_feasible(features, head, cls, cfg)[2] is cls
         head_w = head.weight
         saved = [a.copy() for a in (features.h0, cls.w, head_w)]
         first = train(features, head, cls, cfg)
@@ -963,7 +963,14 @@ class TestValidation:
         lambda: ClassifierWeights(w=np.eye(2)),
         lambda: ExplicitHead(weight=np.eye(2)),
         lambda: DeqHead(weight=0.5 * np.eye(2)),
-    ], ids=["FeatureSet", "ClassifierWeights", "ExplicitHead", "DeqHead"])
+        lambda: ClassPartition.build([0, 1], 2),
+        lambda: class_statistics(np.eye(2), [0, 1], 2),
+        lambda: fixed_point_iterate(0.5 * np.eye(2), np.eye(2), SolverPolicy()),
+        lambda: make_etf(2, 2, 1.0, make_rng(0)),
+        lambda: train(*_small_instance(0), TrainConfig(steps=2, log_every=1)),
+        lambda: NcReporter(ClassPartition.build([0, 1], 2), 1e-10, None, 1, 2),
+    ], ids=["FeatureSet", "ClassifierWeights", "ExplicitHead", "DeqHead", "ClassPartition",
+            "ClassStatistics", "FixedPointResult", "EtfFrame", "TrainTrace", "NcReporter"])
     def test_blocks_compare_by_identity(self, build):
         block, twin = build(), build()
         assert block == block

@@ -380,7 +380,7 @@ class TestStackedReports:
         w[4, 3] = 0.0  # a numerically zero minority row: NaN cosine
         logits = w @ h
         losses = rng.random(b).tolist()
-        reporter = NcReporter.build(ClassPartition.build(labels, k), 1e-10, minority, b, d)
+        reporter = NcReporter(ClassPartition.build(labels, k), 1e-10, minority, b, d)
         reports = reporter.reports(h, w, logits, losses)
 
         rows = minority if minority is not None else range(k)
