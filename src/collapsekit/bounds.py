@@ -40,10 +40,16 @@ class BoundConstants:
     k: int
 
     def __post_init__(self):
-        if self.c1 <= 0.0 or self.c2 <= 0.0:
-            raise ValueError("c1 and c2 must be positive")
+        if not (0.0 < self.c1 < math.inf and 0.0 < self.c2 < math.inf):  # NaN fails too
+            raise ValueError(f"c1 and c2 must be positive and finite, got {self.c1}, {self.c2}")
         if self.k < 2:
             raise ValueError("need at least two classes")
+        # an extreme ratio c2/c1 underflows c3 or overflows c1 + c2 or
+        # (c1 + c2) / c1, which m2 takes the logs of
+        if not (self.c3 > 0.0 and math.isfinite(self.m2)):
+            raise ValueError(
+                f"c1 = {self.c1} and c2 = {self.c2} leave m2 outside float range at K = {self.k}"
+            )
 
     @property
     def c3(self) -> float:
@@ -149,8 +155,8 @@ def balanced_loss_floor(e_w: float, e_h: float, k: int, consts: BoundConstants):
     term and is therefore never larger. Returns (deq_floor, explicit_floor).
     Here e_h is the feature budget (the ball on post-head features).
     """
-    if e_w <= 0.0 or e_h <= 0.0:
-        raise ValueError("budgets must be positive")
+    if not (0.0 < e_w < math.inf and 0.0 < e_h < math.inf):  # NaN fails too
+        raise ValueError(f"budgets must be positive and finite, got {e_w}, {e_h}")
     if k < 2:
         raise ValueError("need at least two classes")
     if consts.k != k:
@@ -259,8 +265,8 @@ def comparison_conditions(e_w: float, e_h: float, gram_h0, etf_target) -> Condit
     """
     if not (0.0 < e_h < 1.0):
         raise ValueError(f"e_h must lie in (0, 1), got {e_h}")
-    if e_w <= 0.0:
-        raise ValueError("e_w must be positive")
+    if not 0.0 < e_w < math.inf:  # NaN fails too
+        raise ValueError(f"e_w must be positive and finite, got {e_w}")
     gram_h0 = as_matrix(gram_h0, "gram_h0")
     etf_target = as_matrix(etf_target, "etf_target")
     if gram_h0.shape != etf_target.shape or gram_h0.shape[0] != gram_h0.shape[1]:

@@ -167,7 +167,10 @@ def _cmd_bound_check(args) -> int:
         ratio = args.ratio
     else:  # the log gap at the collapsed optimum
         ratio = bounds.ratio_at_gap((args.k / (args.k - 1)) * math.sqrt(args.ew * args.eh), args.k)
-    consts = bounds.BoundConstants.from_ratio(ratio, args.k)
+    try:
+        consts = bounds.BoundConstants.from_ratio(ratio, args.k)
+    except ValueError as exc:  # the ratio under- or overflows the constants
+        raise ConfigError(f"bound constants for c2/c1 = {ratio:.6g}: {exc}") from exc
     deq_floor, explicit_floor = bounds.balanced_loss_floor(args.ew, args.eh, args.k, consts)
     print(f"constants: c2/c1 = {ratio:.6g}  m1 = {consts.m1:.6g}  m2 = {consts.m2:.6g}")
     print(f"explicit-head loss floor: {explicit_floor:.10f}")

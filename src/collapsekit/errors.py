@@ -20,7 +20,9 @@ class DivergenceError(RuntimeError):
 
 
 class TrainingDivergedError(DivergenceError):
-    """Raised when training produced a non-finite loss; carries the partial trace."""
+    """Raised when training produced a non-finite loss or an update overflowed
+    a ball functional; carries the trace collected so far. After an overflow
+    that trace's features, head and classifier are None."""
 
     def __init__(self, message, trace=None):
         super().__init__(message)

@@ -111,9 +111,12 @@ class ExperimentConfig:
     imbalance: Optional[ImbalanceSpec] = None
 
     def __post_init__(self):
-        # runs write into <out>/<name> or runs/<name>: the name must not leave it
-        if self.name in ("", ".", "..") or "/" in self.name:
+        # runs write into <out>/<name> or runs/<name>: the name must not leave
+        # it, and no path holds a NUL byte
+        if self.name in ("", ".", "..") or "/" in self.name or "\0" in self.name:
             raise ConfigError(f"name must be one path component, got {self.name!r}")
+        if "\0" in self.output_dir:
+            raise ConfigError(f"output_dir must not hold a NUL byte, got {self.output_dir!r}")
         if self.head not in HEAD_CHOICES:
             raise ConfigError(f"head must be one of {HEAD_CHOICES}, got {self.head!r}")
         if self.k < 2:
@@ -266,12 +269,12 @@ def load_config(path, preset: str = "desk", seed: Optional[int] = None) -> Exper
         raise ConfigError(f"{path}: not valid UTF-8 ({exc.reason} at byte {exc.start})") from exc
     raw = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
-        text = line.split("#", 1)[0].strip()
-        if not text:
+        entry = line.split("#", 1)[0].strip()
+        if not entry:
             continue
-        if "=" not in text:
+        if "=" not in entry:
             raise ConfigError(f"{path}:{lineno}: expected key = value, got {line!r}")
-        key, value = (part.strip() for part in text.split("=", 1))
+        key, value = (part.strip() for part in entry.split("=", 1))
         if key not in _SCHEMA:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         if key in raw:
@@ -295,7 +298,8 @@ def synthesize_dataset(cfg: ExperimentConfig, rng: np.random.Generator) -> Featu
     """Seeded Gaussian backbone features with the config's label layout.
 
     Labels are class-sorted and majority-first (classes 0..k_a-1 are the
-    majority block); columns start at half the feature budget.
+    majority block); H0's class-weighted feature functional starts at half
+    the feature budget.
     """
     return lpm.initialize_features(
         cfg.labels(), cfg.k, cfg.d0, cfg.train.feature_budget, rng
@@ -530,19 +534,21 @@ def _finish_run(cfg, out: Path, results: list, duration_s: float) -> dict:
     condition_report and condition_note (compare_heads' pair, stored as it
     is; None and None unless the run is an imbalanced head = both run).
     """
-    summaries, finals = {}, {}
+    summaries, finals, starts = {}, {}, {}
     for result in results:
         if isinstance(result, Exception):
             raise result
         summary, means, w, means0, _ = result
-        summaries[summary["head"]], finals[summary["head"]] = summary, (means, w)
+        head = summary["head"]
+        summaries[head], finals[head], starts[head] = summary, (means, w), means0
     h0_shas = {summary["h0_init_sha256"] for summary in summaries.values()}
     if len(h0_shas) != 1:
         raise AssertionError("the heads did not start from the same H0 initialization")
 
     condition_report, condition_note = None, None
     if cfg.head == "both" and cfg.imbalance is not None:
-        condition_report, condition_note = compare_heads(cfg, means0, finals)
+        # both heads started from the one H0 just asserted: take its means once
+        condition_report, condition_note = compare_heads(cfg, starts["explicit"], finals)
 
     record = dict(
         config_hash=cfg.config_hash(),

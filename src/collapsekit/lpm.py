@@ -282,20 +282,20 @@ class TraceSnapshot:
 
     step: int
     report: NcReport
-    solver_mean_iters: float = 0.0
-    solver_skip_count: int = 0
+    solver_mean_iters: float
+    solver_skip_count: int
 
 
 @dataclass(eq=False)
 class TrainTrace:
-    """Per-snapshot records plus the final parameters and full loss history."""
+    """Per-snapshot records, full loss history and final parameters (None after an overflow)."""
 
-    snapshots: list = field(default_factory=list)
-    loss_history: np.ndarray = None
-    features: FeatureSet = None
-    head: HeadModel = None
-    classifier: ClassifierWeights = None
-    feasibility_slack_max: float = 0.0
+    snapshots: list
+    loss_history: np.ndarray
+    feasibility_slack_max: float
+    features: Optional[FeatureSet] = None
+    head: Optional[HeadModel] = None
+    classifier: Optional[ClassifierWeights] = None
 
     @property
     def final(self) -> TraceSnapshot:
@@ -434,6 +434,10 @@ def _shrink_to_ball(block: np.ndarray, value_fn, budget: float, squared: bool,
     return block, value
 
 
+# ---------------------------------------------------------------------------
+# public operations
+# ---------------------------------------------------------------------------
+
 def head_preimage(head: HeadModel, z: np.ndarray) -> np.ndarray:
     """Backbone features H0 whose head output is exactly z.
 
@@ -447,10 +451,6 @@ def head_preimage(head: HeadModel, z: np.ndarray) -> np.ndarray:
         raise ValueError(f"z has {z.shape[0]} rows, head outputs {head.d}")
     return head.preimage(z)
 
-
-# ---------------------------------------------------------------------------
-# public operations
-# ---------------------------------------------------------------------------
 
 def head_features(head: HeadModel, h0) -> np.ndarray:
     """Map backbone features through the head; the equilibrium head solves
@@ -534,7 +534,7 @@ def project_feasible(
 
 class _SnapshotBuffer:
     """train()'s snapshot records, evaluated in stacked chunks and
-    appended in step order to snapshots (see train).
+    appended in step order to its snapshots list (see train).
 
     A record copies its z, w and logits into the next slot of the chunk's
     (chunk, D, N), (chunk, K, D) and (chunk, K, N) arrays, and keeps its
@@ -546,7 +546,7 @@ class _SnapshotBuffer:
     """
 
     def __init__(self, head: HeadModel, partition: ClassPartition,
-                 cfg: TrainConfig, z_shape: tuple, snapshots: list):
+                 cfg: TrainConfig, z_shape: tuple):
         d, n = z_shape
         taken = cfg.steps // cfg.log_every + 1 + (cfg.steps % cfg.log_every > 0)
         chunk = min(taken, max(1, SNAPSHOT_CHUNK_ELEMENTS // (d * n)))
@@ -557,7 +557,7 @@ class _SnapshotBuffer:
                                    cfg.minority_classes, chunk, d)
         self.diagnose = head.diagnostic_operator(chunk, n)
         self.steps, self.losses = [], []
-        self.snapshots = snapshots
+        self.snapshots = []
 
     def record(self, step, z, w, logits, loss) -> None:
         """Take a snapshot of the state (z, w) with its logits w @ z and its
@@ -605,6 +605,9 @@ def train(
     non-finite (a non-finite or overflowing z or w) aborts at that step
     with TrainingDivergedError, as does a non-finite loss; the error
     carries the trace collected so far: every snapshot taken before it.
+    After a non-finite loss the trace's features, head and classifier are
+    those of the state that took it; after an overflow they are None, and
+    the last snapshot holds the most recent usable state.
 
     Finiteness is checked where it can be lost. The classifier is finite
     (ClassifierWeights checks it) and its projection only shrinks it. The
@@ -622,25 +625,12 @@ def train(
     on_failure="error" ends the run.
 
     The class partition is the FeatureSet's. The final state's preimage is
-    computed once, when training ends. Built once per run and reused by
-    every step and snapshot:
-      * the projected head;
-      * the snapshot chunk's record arrays, the NC metric constants (cosine
-        pair index, normalized ETF target) and the array of the centered
-        features;
-      * the head's diagnostic operator: for the deq head, its own link
-        I - W and the preimage and Picard work arrays of a chunk;
-      * the head's slack term, constant because the head weight is;
-      * the true-class flat index, the ClassSum that keeps each column's
-        class order from step to step (with its sorted-values array), the
-        buffers the momentum and position updates write in place, and the
-        step's K x N and D x N work arrays (logits, shifted logits, their
-        exp, reordered gradient rows, grad_z). The projections rescale w
-        and z in place.
-    A step thus allocates no K x N or D x N float array: depending on a
-    run's earlier allocations, glibc serves such a temporary (above 128 KB
-    at N in the thousands) from a fresh mapping or from heap memory it
-    trims again, and the next step faults it in anew.
+    computed once, when training ends. Every array a step or a snapshot
+    writes is built once per run, and the projections rescale w and z in
+    place, so a step allocates no K x N or D x N float array: depending on
+    a run's earlier allocations, glibc serves such a temporary (above
+    128 KB at N in the thousands) from a fresh mapping or from heap memory
+    it trims again, and the next step faults it in anew.
     Each projection returns its functional's value, which the slack reuses.
     """
     labels, k, partition = features.labels, features.k, features.partition
@@ -656,11 +646,11 @@ def train(
     def feature_norm(b):
         return _feature_norm(b, weights)
 
-    trace = TrainTrace()
-    snapshots = _SnapshotBuffer(head, partition, cfg, z.shape, trace.snapshots)
+    snapshots = _SnapshotBuffer(head, partition, cfg, z.shape)
     losses = []
     # the updates and projections run in place, so the loop owns its w and
-    # z (project_feasible can return cls itself); a record copies them
+    # z (project_feasible can return cls itself, and a head's apply a view
+    # of its input); a record copies them
     w, z = np.copy(cls.w), np.copy(z)
     v_w, v_z = np.zeros_like(w), np.zeros_like(z)
     step_w, step_z = np.empty_like(w), np.empty_like(z)
@@ -672,14 +662,10 @@ def train(
 
     def finalize(usable=True):
         snapshots.flush()
-        trace.loss_history = np.asarray(losses)
-        trace.feasibility_slack_max = slack_max
-        # a usable z and w are finite: see train's docstring
-        if usable:
-            trace.features = replace(features, h0=head.preimage(z))
-            trace.head = head
-            trace.classifier = ClassifierWeights(w=w)
-        # on an abort the last snapshot holds the most recent usable state
+        final = ()
+        if usable:  # a usable z and w are finite: see train's docstring
+            final = (replace(features, h0=head.preimage(z)), head, ClassifierWeights(w=w))
+        return TrainTrace(snapshots.snapshots, np.asarray(losses), slack_max, *final)
 
     # iteration `step` takes the loss of the state after `step` updates,
     # records that state if it is a snapshot step, and applies update step + 1
@@ -692,9 +678,8 @@ def train(
         if step == cfg.steps:
             break
         if not math.isfinite(loss):
-            finalize()
             raise TrainingDivergedError(
-                f"loss became non-finite at step {step + 1}", trace=trace
+                f"loss became non-finite at step {step + 1}", trace=finalize()
             )
         losses.append(loss)
 
@@ -711,8 +696,8 @@ def train(
         w, w_value = _shrink_to_ball(w, classifier_mean_square, cfg.e_w, True, w)
         z, z_value = _shrink_to_ball(z, feature_norm, cfg.feature_budget, True, z)
         if not (math.isfinite(w_value) and math.isfinite(z_value)):
-            finalize(usable=False)
-            raise TrainingDivergedError(f"update left float range at step {step + 1}", trace=trace)
+            raise TrainingDivergedError(f"update left float range at step {step + 1}",
+                                        trace=finalize(usable=False))
         slack_max = max(
             slack_max,
             w_value / cfg.e_w - 1.0,
@@ -720,8 +705,7 @@ def train(
             z_value / cfg.feature_budget - 1.0,
         )
 
-    finalize()
-    return trace
+    return finalize()
 
 
 # ---------------------------------------------------------------------------

@@ -27,14 +27,13 @@ class ClassStatistics:
     """Class means, global mean, and within/between-class scatter.
 
     Statistics of a (B, D, N) stack of feature sets carry the leading B
-    axis on every field but class_counts.
+    axis on every field.
     """
 
     class_means: np.ndarray   # D x K
     global_mean: np.ndarray   # D
     sigma_w: np.ndarray       # D x D
     sigma_b: np.ndarray       # D x D
-    class_counts: np.ndarray  # K
 
 
 @dataclass(frozen=True)
@@ -171,7 +170,6 @@ def _class_statistics(h: np.ndarray, partition: ClassPartition,
         global_mean=global_mean,
         sigma_w=sigma_w,
         sigma_b=sigma_b,
-        class_counts=partition.counts,
     )
 
 

@@ -33,6 +33,24 @@ class TestBoundConstants:
         with pytest.raises(ValueError):
             BoundConstants(c1=1.0, c2=1.0, k=1)
 
+    @pytest.mark.parametrize("c1, c2, message", [
+        (math.nan, 1.0, "c1 and c2 must be positive"),
+        (1.0, math.nan, "c1 and c2 must be positive"),
+        (math.inf, 1.0, "c1 and c2 must be positive"),
+        (1.0, math.inf, "c1 and c2 must be positive"),
+        (1.0, 5e-324, "outside float range"),  # c3 underflows to 0
+        (1e308, 1e308, "outside float range"),  # c1 + c2 overflows
+        (5e-324, 1.0, "outside float range"),  # (c1 + c2) / c1 overflows
+    ])
+    def test_rejects_constants_outside_float_range(self, c1, c2, message):
+        with pytest.raises(ValueError, match=message):
+            BoundConstants(c1=c1, c2=c2, k=4)
+
+    @pytest.mark.parametrize("ratio, k", [(1e-300, 10), (1e300, 4), (1e-12, 2), (1e12, 10)])
+    def test_accepted_constants_are_finite(self, ratio, k):
+        consts = BoundConstants.from_ratio(ratio, k)
+        assert math.isfinite(consts.m1) and math.isfinite(consts.m2)
+
 
 class TestLogShareBound:
     def test_symmetric_k2_equality(self):
@@ -158,6 +176,12 @@ class TestBalancedLossFloor:
         with pytest.raises(ValueError, match="need at least two classes"):
             balanced_loss_floor(1.0, 1.0, 1, consts)
 
+    @pytest.mark.parametrize("e_w, e_h", [(math.nan, 1.0), (math.inf, 1.0),
+                                          (1.0, math.nan), (1.0, math.inf)])
+    def test_rejects_non_finite_budgets(self, e_w, e_h):
+        with pytest.raises(ValueError, match="budgets must be positive"):
+            balanced_loss_floor(e_w, e_h, 3, BoundConstants.from_ratio(1.0, 3))
+
 
 class TestComparisonConditions:
     def test_small_eh_window_holds(self):
@@ -207,6 +231,11 @@ class TestComparisonConditions:
             comparison_conditions(0.0, 0.5, np.eye(2), np.eye(2))
         with pytest.raises(ValueError, match="gram shapes must match and be square"):
             comparison_conditions(1.0, 0.5, np.eye(2), np.eye(3))
+
+    @pytest.mark.parametrize("e_w", [math.nan, math.inf])
+    def test_rejects_non_finite_ew(self, e_w):
+        with pytest.raises(ValueError, match="e_w must be positive"):
+            comparison_conditions(e_w, 0.5, np.eye(2), np.eye(2))
 
 
 class TestImbalanceSpec:

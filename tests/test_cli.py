@@ -55,6 +55,15 @@ class TestRunCommand:
         assert main(["run", str(cfg)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["name", "output_dir"])
+    def test_nul_byte_in_a_path_exits_2(self, tmp_path, monkeypatch, capsys, key):
+        # no file system takes a NUL byte in a path
+        cfg = _write(tmp_path, "nul.cfg", _cfg_lines(steps=5, **{key: "a\0b"}))
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", str(cfg), "--quiet"]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert [p.name for p in tmp_path.iterdir()] == ["nul.cfg"]
+
     @pytest.mark.parametrize("head, d0, d", [("deq", 20, 12), ("both", 20, 12),
                                              ("explicit", 12, 20)])
     def test_head_dimension_mismatch_is_a_config_error(self, tmp_path, capsys, head, d0, d):
@@ -135,6 +144,10 @@ class TestChecks:
         ["bound-check", "--k", "1", "--ew", "1", "--eh", "1"],
         ["bound-check", "--k", "4", "--ew", "-1", "--eh", "1"],
         ["bound-check", "--k", "4", "--ew", "1", "--eh", "1", "--ratio", "0"],
+        # the tight ratio (K - 1) exp(-gap) underflows to 0
+        ["bound-check", "--k", "4", "--ew", "1e6", "--eh", "1"],
+        # c3 = c2 / ((K - 1)(c1 + c2)) underflows to 0
+        ["bound-check", "--k", "10", "--ew", "1", "--eh", "1", "--ratio", "5e-324"],
         ["etf-check", "--k", "1", "--d", "4"],
         ["etf-check", "--k", "4", "--d", "2"],
         ["etf-check", "--k", "4", "--d", "6", "--alpha", "nan"],
@@ -145,7 +158,8 @@ class TestChecks:
         ["run", "{dir}/one.cfg", "--seed", "-1"],
         ["lemma-fuzz", "--seed", "-1"],
         ["sweep", "{dir}", "--write-grid", "--seed", "-1"],
-    ], ids=["bound-k1", "bound-ew-negative", "bound-ratio-0", "etf-k1", "etf-d-below-k",
+    ], ids=["bound-k1", "bound-ew-negative", "bound-ratio-0", "bound-ratio-underflow",
+            "bound-c3-underflow", "etf-k1", "etf-d-below-k",
             "etf-alpha-nan", "etf-alpha-inf",
             "fuzz-draws-0", "fuzz-draws-negative", "sweep-workers-0", "run-seed-negative",
             "fuzz-seed-negative", "sweep-grid-seed-negative"])

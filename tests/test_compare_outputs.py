@@ -83,3 +83,14 @@ def test_nothing_to_compare_is_an_error(tmp_path):
     (tmp_path / "a").mkdir()
     (tmp_path / "b").mkdir()
     assert compare_outputs.main([str(tmp_path / "a"), str(tmp_path / "b")]) == 2
+
+
+def test_digests_follow_the_comparison(trees):
+    a, b = trees
+    assert compare_outputs.tree_digests(a) == compare_outputs.tree_digests(b)
+    np.savez(b / "run" / "explicit" / "state_explicit.npz", w=np.arange(6.0).reshape(2, 3),
+             labels=np.array([0, 1, 1], dtype=np.int32))
+    differ = compare_outputs.compare_trees(a, b)[1]
+    digests_a, digests_b = compare_outputs.tree_digests(a), compare_outputs.tree_digests(b)
+    assert differ == [path for path in digests_a if digests_a[path] != digests_b[path]]
+    assert differ == ["run/explicit/state_explicit.npz"]

@@ -172,6 +172,8 @@ class TestConfigParsing:
         ({"steps": 10.0}, "steps must be int, got 10.0"),
         ({"seed": True}, "seed must be int, got True"),
         ({"e_w": "1"}, "e_w must be float, got '1'"),
+        ({"name": "a\0b"}, "name must be one path component"),
+        ({"output_dir": "runs/a\0b"}, "output_dir must not hold a NUL byte"),
     ])
     def test_bad_values(self, overrides, message):
         raw = {k: v for k, v in dict(TINY, **overrides).items() if v is not None}
@@ -494,16 +496,19 @@ class TestSweep:
         cfgs = tmp_path / "cfgs"
         cfgs.mkdir()
         layout = ["head = explicit", "k = 3", "d0 = 6", "d = 6", "balanced_n = 3", "steps = 5"]
-        for stem, name in (("up", ".."), ("empty", ""), ("ok", "ok")):
+        names = {"up": "..", "empty": "", "nul": "a\0b", "ok": "ok"}
+        for stem, name in names.items():
             _write_config(cfgs, layout + [f"name = {name}"], name=f"{stem}.cfg")
         out = tmp_path / "out" / "sweep"
         assert main(["sweep", str(cfgs), "--out", str(out), "--workers", "1", "--quiet"]) == 2
         assert "name must be one path component" in capsys.readouterr().err
         written = {p.relative_to(tmp_path).parts[:3] for p in tmp_path.rglob("*") if p.is_file()}
-        assert written == {("cfgs", f"{stem}.cfg") for stem in ("up", "empty", "ok")} | {
+        assert written == {("cfgs", f"{stem}.cfg") for stem in names} | {
             ("out", "sweep", "sweep_summary.json"), ("out", "sweep", "ok")}
         summary = json.loads((out / "sweep_summary.json").read_text())
-        assert summary["up.cfg"]["error"] == summary["empty.cfg"]["error"] == "ConfigError"
+        for stem in ("up", "empty", "nul"):
+            assert summary.pop(f"{stem}.cfg")["error"] == "ConfigError"
+        assert [record["name"] for record in summary.values()] == ["ok"]
 
     def test_sweep_empty_dir(self, tmp_path):
         with pytest.raises(ConfigError, match="no \\*.cfg"):

@@ -486,6 +486,7 @@ class TestTrain:
         trace = excinfo.value.trace
         assert [s.step for s in trace.snapshots] == [0]
         assert trace.features is None and trace.classifier is None
+        assert trace.head is None
 
     def test_final_snapshot_at_final_step(self):
         trace, cfg = self._run(steps=250, log_every=100)
@@ -612,7 +613,11 @@ class TestSnapshotParity:
         monkeypatch.setattr(lpm_mod, "_softmax_terms", diverging)
         with pytest.raises(TrainingDivergedError, match="step 11") as excinfo:
             train(features, head, cls, cfg)
-        snapshots = excinfo.value.trace.snapshots
+        trace = excinfo.value.trace
+        # a loss abort keeps the final parameters: those of the last recorded state
+        np.testing.assert_array_equal(trace.features.h0, head_preimage(trace.head, z))
+        np.testing.assert_array_equal(trace.classifier.w, w)
+        snapshots = trace.snapshots
         assert [s.step for s in snapshots] == list(range(0, 11, 2))
         assert snapshots[:-1] == full.snapshots[:5]
         # the last one has the non-finite loss of its state, and the rest of

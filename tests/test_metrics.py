@@ -114,7 +114,6 @@ class TestNc1:
             global_mean=np.zeros(3),
             sigma_w=np.outer(e1, e1),
             sigma_b=np.outer(e1, e1),
-            class_counts=np.array([1, 1]),
         )
         assert nc1(stats) == pytest.approx(0.5, abs=1e-12)
 
@@ -137,7 +136,6 @@ class TestNc1:
             global_mean=np.zeros(5),
             sigma_w=sigma_w,
             sigma_b=sigma_b,
-            class_counts=np.array([1, 1]),
         )
         u, s, vt = np.linalg.svd(sigma_b)
         inv = np.where(s > 1e-10 * s.max(), 1.0 / np.where(s > 0, s, 1.0), 0.0)

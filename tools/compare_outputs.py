@@ -12,13 +12,15 @@ Compared, by path relative to each tree's root:
 A file of these kinds that exists in only one tree is a difference; other
 files are not compared. Prints each differing path, then a summary line.
 Exits 0 when the trees match, 1 on any difference, and 2 when neither tree
-holds a file to compare.
+holds a file to compare. tree_digests gives each compared file's sha256
+under the same rules, for a tree to be checked against pinned digests.
 """
 
 from __future__ import annotations
 
 import argparse
 import filecmp
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -53,24 +55,42 @@ def _json_text(path: Path) -> str:
     return json.dumps(_drop_timing(json.loads(path.read_text())), sort_keys=True)
 
 
-def _npz_equal(a: Path, b: Path) -> bool:
-    with np.load(a, allow_pickle=False) as fa, np.load(b, allow_pickle=False) as fb:
-        if sorted(fa.files) != sorted(fb.files):
-            return False
-        for name in fa.files:
-            x, y = fa[name], fb[name]
-            if x.dtype != y.dtype or x.shape != y.shape or x.tobytes() != y.tobytes():
-                return False
-    return True
+def _npz_arrays(path: Path) -> list:
+    """A state file's arrays as (name, dtype, shape, bytes), by name."""
+    arrays = []
+    with np.load(path, allow_pickle=False) as npz:
+        for name in sorted(npz.files):
+            x = npz[name]
+            arrays.append((name, x.dtype.str, x.shape, x.tobytes()))
+    return arrays
 
 
 def files_equal(a: Path, b: Path) -> bool:
     """Whether two output files of the same relative path match."""
     if a.suffix == ".npz":
-        return _npz_equal(a, b)
+        return _npz_arrays(a) == _npz_arrays(b)
     if a.name in JSON_NAMES:
         return _json_text(a) == _json_text(b)
     return filecmp.cmp(a, b, shallow=False)
+
+
+def file_digest(path: Path) -> str:
+    """sha256 of what files_equal compares of an output file."""
+    digest = hashlib.sha256()
+    if path.suffix == ".npz":
+        for name, dtype, shape, data in _npz_arrays(path):
+            digest.update(f"{name} {dtype} {shape}\n".encode())
+            digest.update(data)
+    elif path.name in JSON_NAMES:
+        digest.update(_json_text(path).encode())
+    else:
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
+def tree_digests(root: Path) -> dict:
+    """Relative path -> file_digest of every compared file under root."""
+    return {str(rel): file_digest(root / rel) for rel in sorted(_compared_files(root))}
 
 
 def compare_trees(root_a: Path, root_b: Path) -> tuple:
