@@ -103,8 +103,15 @@ def _log_gap(log_d: np.ndarray, k_index: int) -> float:
 
 
 def ratio_at_gap(gap: float, k: int) -> float:
-    """The tight ratio c2/c1 = (K-1) exp(-A) at a log gap A."""
-    return (k - 1) * math.exp(-gap)
+    """The tight ratio c2/c1 = (K-1) exp(-A) at a log gap A; ValueError
+    when it is not a finite float (a gap below about -709, or NaN)."""
+    try:
+        ratio = (k - 1) * math.exp(-gap)
+    except OverflowError:
+        ratio = math.inf
+    if not math.isfinite(ratio):
+        raise ValueError(f"log gap {gap} puts the tight ratio c2/c1 outside float range at K = {k}")
+    return ratio
 
 
 def tightest_ratio(deltas, k_index: int) -> float:
@@ -146,6 +153,17 @@ def fuzz_log_bound(draws: int, seed: int, tol: float = 1e-12):
 # balanced loss floors
 # ---------------------------------------------------------------------------
 
+def collapsed_term(e_w: float, e_h: float, k: int, m1: float = 1.0) -> float:
+    """m1 * (K/(K-1)) * sqrt(e_w * e_h), the floor's linear term; at m1 = 1
+    it is the log gap at the collapsed optimum. sqrt(e_w) * sqrt(e_h) stands
+    in for sqrt(e_w * e_h) only where the product overflows, so every
+    in-range term keeps its bits."""
+    root = math.sqrt(e_w * e_h)
+    if not math.isfinite(root):
+        root = math.sqrt(e_w) * math.sqrt(e_h)
+    return m1 * (k / (k - 1)) * root
+
+
 def balanced_loss_floor(e_w: float, e_h: float, k: int, consts: BoundConstants):
     """Lower bounds on the balanced cross-entropy for both head types.
 
@@ -161,7 +179,7 @@ def balanced_loss_floor(e_w: float, e_h: float, k: int, consts: BoundConstants):
         raise ValueError("need at least two classes")
     if consts.k != k:
         raise ValueError(f"constants built for K={consts.k}, asked about K={k}")
-    base = consts.m1 * (k / (k - 1)) * math.sqrt(e_w * e_h)
+    base = collapsed_term(e_w, e_h, k, consts.m1)
     explicit = -base - consts.m2
     deq = -2.0 * base - consts.m2
     return deq, explicit

@@ -166,7 +166,7 @@ def _cmd_bound_check(args) -> int:
     if args.ratio is not None:
         ratio = args.ratio
     else:  # the log gap at the collapsed optimum
-        ratio = bounds.ratio_at_gap((args.k / (args.k - 1)) * math.sqrt(args.ew * args.eh), args.k)
+        ratio = bounds.ratio_at_gap(bounds.collapsed_term(args.ew, args.eh, args.k), args.k)
     try:
         consts = bounds.BoundConstants.from_ratio(ratio, args.k)
     except ValueError as exc:  # the ratio under- or overflows the constants

@@ -39,9 +39,9 @@ thread count.
 from __future__ import annotations
 
 import concurrent.futures
-import csv
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import numbers
@@ -315,39 +315,41 @@ def _fmt(x) -> str:
 
 
 def write_trace_csv(trace: TrainTrace, k: int, path: Path) -> None:
-    """Write the per-snapshot trace; schema documented at module top."""
+    """Write the per-snapshot trace (schema documented at module top), one
+    snapshot's row at a time, and check it through _write_validated_csv."""
     header = (
         ["step", "loss", "accuracy", "nc1", "nc2", "nc3"]
         + [f"per_class_acc_{c}" for c in range(k)]
         + ["solver_mean_iters", "solver_skip_count"]
     )
-    rows = []
-    for snap in trace.snapshots:
-        report = snap.report
-        rows.append(
-            [str(snap.step), _fmt(report.loss), _fmt(report.accuracy),
-             _fmt(report.nc1), _fmt(report.nc2), _fmt(report.nc3)]
-            + [_fmt(a) for a in report.per_class_accuracy]
-            + [_fmt(snap.solver_mean_iters), str(snap.solver_skip_count)]
-        )
+    rows = (
+        [str(snap.step), _fmt(snap.report.loss), _fmt(snap.report.accuracy),
+         _fmt(snap.report.nc1), _fmt(snap.report.nc2), _fmt(snap.report.nc3)]
+        + [_fmt(a) for a in snap.report.per_class_accuracy]
+        + [_fmt(snap.solver_mean_iters), str(snap.solver_skip_count)]
+        for snap in trace.snapshots
+    )
     _write_validated_csv(path, header, rows)
 
 
 def _write_gram_csv(path: Path, gram: np.ndarray) -> None:
     """Write a Gram matrix under a g_0..g_{n-1} header. Every value is
-    repr()-formatted, so re-parsing the CSV reproduces the Gram exactly."""
+    repr()-formatted (repr of a row's tolist() gives _fmt's text), so
+    re-parsing the CSV reproduces the Gram exactly. Rows are formatted one
+    at a time: the writer holds the Gram plus one row of text."""
     header = [f"g_{j}" for j in range(gram.shape[1])]
-    _write_validated_csv(path, header, [[_fmt(v) for v in row] for row in gram])
+    _write_validated_csv(path, header, (map(repr, row.tolist()) for row in gram))
 
 
 def export_gram(features_h, labels, k: int, out_dir) -> tuple:
     """Write the class-mean Gram and the class-sorted sample Gram H^T H.
 
     Returns (samples_path, means_path). The sample Gram is N x N repr()
-    text, re-parsed in full for validation, so runs leave it to
-    `collapsekit export-gram`. features_h must be a finite 2-D array (else
-    ValueError, before any file is written). The labels form a
-    ClassPartition of k classes, whose order sorts the samples.
+    text, written and re-read for validation, so runs leave it to
+    `collapsekit export-gram`, which holds the N x N Gram plus one row of
+    text. features_h must be a finite 2-D array (else ValueError, before
+    any file is written). The labels form a ClassPartition of k classes,
+    whose order sorts the samples.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -362,21 +364,56 @@ def export_gram(features_h, labels, k: int, out_dir) -> tuple:
     return samples_path, means_path
 
 
-def _write_validated_csv(path: Path, header, rows) -> None:
-    """Write a CSV and immediately re-parse it to prove the schema holds."""
-    path = Path(path)
+def _csv_line(row, width: int):
+    """The CSV line of a row as bytes, or None when the line would not read
+    back as the row: a field that is not a str, a row of other than width
+    fields, a quote or line break (text CSV would quote), or the one empty
+    field of a one-column row."""
     try:
-        with path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
-        with path.open(newline="") as fh:
-            reader = csv.reader(fh)
-            read_header = next(reader)
-            read_rows = list(reader)
+        line = ",".join(row)
+    except TypeError:
+        return None
+    if not line or line.count(",") != width - 1 or '"' in line or "\r" in line or "\n" in line:
+        return None
+    return (line + "\r\n").encode()
+
+
+def _file_sha256(path: Path) -> bytes:
+    """sha256 digest of a file, read in 256 KiB chunks."""
+    digest = hashlib.sha256()
+    with path.open("rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 18), b""):
+            digest.update(chunk)
+    return digest.digest()
+
+
+def _write_validated_csv(path: Path, header, rows) -> None:
+    """Write a CSV one row at a time and prove the file holds it.
+
+    header is a list of str; rows is an iterable of rows of str fields
+    (lists, or any iterable), read once. Each row is written as it arrives,
+    so no copy of the table is held; the text is CRLF-terminated and
+    unquoted, the bytes csv.writer gives these fields. The sha256 of the
+    text as written is compared with the sha256 of the file re-read in
+    chunks. A row that would not read back as its fields (see _csv_line)
+    stops the write; it and a file whose bytes differ from the text are
+    OSError("self-validation failed re-reading <path>"), and a failed write
+    or read is OSError("while writing <path>: ...") (exit code 5 either way).
+    """
+    path = Path(path)
+    written = hashlib.sha256()
+    try:
+        with path.open("wb") as fh:
+            for row in itertools.chain([header], rows):
+                line = _csv_line(row, len(header))
+                if line is None:
+                    break
+                written.update(line)
+                fh.write(line)
+        same = line is not None and _file_sha256(path) == written.digest()
     except OSError as exc:
         raise OSError(f"while writing {path}: {exc}") from exc
-    if read_header != list(header) or read_rows != [list(r) for r in rows]:
+    if not same:
         raise OSError(f"self-validation failed re-reading {path}")
 
 

@@ -13,6 +13,7 @@ from collapsekit.bounds import (
     fuzz_log_bound,
     imbalance_etf_target,
     log_share_bound,
+    ratio_at_gap,
     tightest_ratio,
 )
 from collapsekit.etf import make_etf
@@ -181,6 +182,22 @@ class TestBalancedLossFloor:
     def test_rejects_non_finite_budgets(self, e_w, e_h):
         with pytest.raises(ValueError, match="budgets must be positive"):
             balanced_loss_floor(e_w, e_h, 3, BoundConstants.from_ratio(1.0, 3))
+
+    def test_floors_stay_finite_where_the_budget_product_overflows(self):
+        # e_w * e_h overflows; sqrt(e_w) * sqrt(e_h) = 1e200 does not
+        deq, explicit = balanced_loss_floor(1e200, 1e200, 4, BoundConstants.from_ratio(1.0, 4))
+        assert math.isfinite(deq) and math.isfinite(explicit)
+        assert deq <= explicit
+
+
+@pytest.mark.parametrize("call", [
+    lambda: ratio_at_gap(-800.0, 4),
+    lambda: constants_from_logits([[-800.0], [0.0], [0.0], [0.0]], [0], 4),
+], ids=["ratio_at_gap", "constants_from_logits"])
+def test_a_ratio_outside_float_range_is_a_value_error(call):
+    # (K - 1) exp(800) overflows
+    with pytest.raises(ValueError, match="log gap -800.0"):
+        call()
 
 
 class TestComparisonConditions:

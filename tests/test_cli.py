@@ -135,6 +135,15 @@ class TestChecks:
         out = capsys.readouterr().out
         assert "ordering deq <= explicit: True" in out
 
+    def test_bound_check_prints_the_tight_floors(self, capsys):
+        assert main(["bound-check", "--k", "4", "--ew", "1.0", "--eh", "1.0"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "constants: c2/c1 = 0.790791  m1 = 0.441588  m2 = -1.17144",
+            "explicit-head loss floor: 0.5826576531",
+            "equilibrium-head loss floor: -0.0061259116",
+            "ordering deq <= explicit: True",
+        ]
+
     def test_bound_check_custom_ratio(self, capsys):
         assert main(["bound-check", "--k", "3", "--ew", "0.5", "--eh", "0.5",
                      "--ratio", "2.0"]) == 0
@@ -427,6 +436,22 @@ def test_failed_trace_write_exits_5(tmp_path, capsys):
     cfg = _write(tmp_path, "demo.cfg", _cfg_lines())
     assert main(["run", str(cfg), "--out", str(out)]) == 5
     assert f"artifact error: while writing {out / 'trace.csv'}" in capsys.readouterr().err
+
+
+def test_bytes_that_change_before_the_re_read_exit_5(tmp_path, capsys, monkeypatch):
+    # the trace file is altered between its write and its re-read
+    file_sha256 = harness._file_sha256
+
+    def tampered(path):
+        path.write_bytes(path.read_bytes().replace(b"step", b"stop"))
+        return file_sha256(path)
+
+    monkeypatch.setattr(harness, "_file_sha256", tampered)
+    out = tmp_path / "out"
+    cfg = _write(tmp_path, "demo.cfg", _cfg_lines())
+    assert main(["run", str(cfg), "--out", str(out)]) == 5
+    err = capsys.readouterr().err
+    assert f"artifact error: self-validation failed re-reading {out / 'trace.csv'}" in err
 
 
 @pytest.mark.parametrize("error", [SingularMatrixError, np.linalg.LinAlgError])

@@ -5,6 +5,7 @@ import importlib.util
 import itertools
 import json
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -309,6 +310,28 @@ def test_rows_that_do_not_read_back_fail_self_validation(tmp_path):
     # the file holds the text "1.0", which is not the float the row gave
     with pytest.raises(OSError, match="self-validation failed re-reading"):
         harness._write_validated_csv(tmp_path / "x.csv", ["a"], [[1.0]])
+
+
+@pytest.mark.parametrize("row", [["1.0", "2,5"], ["1.0"], ["1.0", '"2"'], ["1.0", "2\n"]],
+                         ids=["comma", "short", "quote", "newline"])
+def test_rows_that_need_quoting_or_are_short_fail_self_validation(tmp_path, row):
+    with pytest.raises(OSError, match="self-validation failed re-reading"):
+        harness._write_validated_csv(tmp_path / "x.csv", ["a", "b"], [row])
+
+
+def test_gram_csv_holds_one_row_of_text(tmp_path):
+    # 400 x 400 Gram: the rows as text are about 160k strings (over 10 MB)
+    gram = make_rng(0).standard_normal((400, 400))
+    tracemalloc.start()
+    try:
+        harness._write_gram_csv(tmp_path / "g.csv", gram)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    with (tmp_path / "g.csv").open() as fh:
+        parsed = np.array([[float(x) for x in row] for row in list(csv.reader(fh))[1:]])
+    np.testing.assert_array_equal(parsed, gram)
 
 
 class TestRunExperiment:
