@@ -564,13 +564,15 @@ def _run_head_jobs(jobs: list, workers: int) -> list:
 def _finish_run(cfg, out: Path, results: list, duration_s: float) -> dict:
     """Raise the first failed head in head order, or compare the heads,
     write the run record to report.json and return it. results are the
-    run's head-job results in head order.
+    run's head-job results in head order. A report.json already in out is
+    removed first, so a run that fails leaves none.
 
     The record is a dict of JSON values: config_hash, name, seed,
     duration_s, heads (head name -> _head_summary), shared_h0_sha256,
     condition_report and condition_note (compare_heads' pair, stored as it
     is; None and None unless the run is an imbalanced head = both run).
     """
+    (out / "report.json").unlink(missing_ok=True)
     summaries, finals, starts = {}, {}, {}
     for result in results:
         if isinstance(result, Exception):
@@ -655,16 +657,20 @@ def run_sweep(config_dir, preset: str = "desk", out_root=None, seed=None,
     """Run the head jobs of every *.cfg under config_dir in one
     _run_head_jobs call on max_workers workers (default: the usable CPUs).
 
-    Two configs that would write the same run directory (out_root/<name>,
-    else their output_dir) are a ConfigError before any job starts. Else a
-    config that fails to load, or whose head fails, does not stop the
-    others. The run records (see _finish_run), keyed by config hash, are
-    merged as they are into sweep_summary.json alongside the configs (or
-    under out_root when given), with one record per failed config, keyed by
-    its file name: its name, error class and message. A record's duration_s is the sum of its heads'
-    job times. The summary is written before the first failure (in file
-    order) is re-raised, so the CLI exits with that error's code.
+    A max_workers below 1 is a ConfigError before any config loads. Two
+    configs that would write the same run directory (out_root/<name>, else
+    their output_dir), or that share a config hash (the summary's key), are
+    a ConfigError before any job starts. Else a config that fails to load,
+    or whose head fails, does not stop the others. The run records (see
+    _finish_run), keyed by config hash, are merged as they are into
+    sweep_summary.json alongside the configs (or under out_root when
+    given), with one record per failed config, keyed by its file name: its
+    name, error class and message. A record's duration_s is the sum of its
+    heads' job times. The summary is written before the first failure (in
+    file order) is re-raised, so the CLI exits with that error's code.
     """
+    if max_workers is not None and max_workers < 1:
+        raise ConfigError(f"max_workers must be at least 1, got {max_workers}")
     config_dir = Path(config_dir)
     paths = sorted(config_dir.glob("*.cfg"))
     if not paths:
@@ -677,9 +683,11 @@ def run_sweep(config_dir, preset: str = "desk", out_root=None, seed=None,
             runs[path] = exc
             continue
         out = Path(out_root) / cfg.name if out_root else Path(cfg.output_dir)
-        owner = owners.setdefault(out.resolve(), path)
-        if owner != path:
-            raise ConfigError(f"{owner} and {path} would both write run directory {out}")
+        for key, clash in ((out.resolve(), f"would both write run directory {out}"),
+                           (cfg.config_hash(), "share a config hash, which keys sweep_summary.json")):
+            owner = owners.setdefault(key, path)
+            if owner != path:
+                raise ConfigError(f"{owner} and {path} {clash}")
         runs[path] = (cfg, out, _head_jobs(cfg, out))
 
     jobs = [job for run in runs.values() if not isinstance(run, Exception) for job in run[2]]

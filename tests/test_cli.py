@@ -85,6 +85,16 @@ class TestRunCommand:
         assert "solver did not converge" in capsys.readouterr().err
         assert not (out / "report.json").exists()
 
+    def test_failed_run_leaves_no_earlier_report(self, tmp_path):
+        lines = _cfg_lines(head="both", k=3, balanced_n=5)
+        out = tmp_path / "out"
+        assert main(["run", str(_write(tmp_path, "ok.cfg", lines)), "--out", str(out),
+                     "--quiet"]) == 0
+        assert (out / "report.json").exists()
+        bad = _write(tmp_path, "bad.cfg", lines + ["learning_rate = 1e308"])
+        assert main(["run", str(bad), "--out", str(out), "--quiet"]) == 3
+        assert not (out / "report.json").exists()
+
     def test_skip_policy_counts_every_column(self, tmp_path):
         lines = _cfg_lines(head="deq", on_failure="skip", **self.UNCONVERGED)
         out = tmp_path / "out"

@@ -537,6 +537,29 @@ class TestSweep:
         with pytest.raises(ConfigError, match="no \\*.cfg"):
             run_sweep(tmp_path)
 
+    def test_configs_sharing_a_hash_are_refused(self, tmp_path):
+        # output_dir is outside the hash, so one record would replace the other
+        layout = ["name = same", "head = explicit", "k = 3", "balanced_n = 5",
+                  "steps = 20", "log_every = 10"]
+        for stem in ("a", "b"):
+            _write_config(tmp_path, layout + [f"output_dir = {tmp_path / stem}"],
+                          name=f"{stem}.cfg")
+        with pytest.raises(ConfigError, match="a.cfg and .*b.cfg share a config hash"):
+            run_sweep(tmp_path, max_workers=1)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.cfg", "b.cfg"]
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_worker_count_below_one_is_refused(self, tmp_path, monkeypatch, workers):
+        _write_config(tmp_path, ["head = explicit", "k = 3", "balanced_n = 3", "steps = 5"])
+
+        def no_load(*args, **kwargs):
+            raise AssertionError("a config loaded")
+
+        monkeypatch.setattr(harness, "load_config", no_load)
+        with pytest.raises(ConfigError, match="max_workers must be at least 1"):
+            run_sweep(tmp_path, out_root=tmp_path / "out", max_workers=workers)
+        assert not (tmp_path / "out").exists()
+
 
 BOTH_BALANCED = {
     "head": "both", "k": 4, "d0": 6, "d": 6, "balanced_n": 6,

@@ -1,15 +1,8 @@
-import importlib.util
-from pathlib import Path
-
 import csv
 
+import reference_runs
 from collapsekit import lpm
 from collapsekit.harness import load_config, run_experiment
-
-_TOOL = Path(__file__).resolve().parents[1] / "tools" / "reference_runs.py"
-_spec = importlib.util.spec_from_file_location("reference_runs", _TOOL)
-reference_runs = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(reference_runs)
 
 
 def test_every_config_loads(tmp_path):
@@ -41,10 +34,10 @@ def test_refuses_an_out_that_holds_files(tmp_path, monkeypatch, capsys):
     # a file left by an earlier revision would be compared as if written now
     (tmp_path / "gram_samples.csv").write_text("stale\n")
 
-    def no_command(*args, cwd):
-        raise AssertionError("a command ran")
+    def no_child(out, name):
+        raise AssertionError("the child ran")
 
-    monkeypatch.setattr(reference_runs, "_collapsekit", no_command)
+    monkeypatch.setattr(reference_runs, "_child", no_child)
     assert reference_runs.main([str(tmp_path)]) == 2
     assert "not empty" in capsys.readouterr().err
     assert not (tmp_path / "configs").exists()

@@ -12,14 +12,14 @@ Compared, by path relative to each tree's root:
 A file of these kinds that exists in only one tree is a difference; other
 files are not compared. Prints each differing path, then a summary line.
 Exits 0 when the trees match, 1 on any difference, and 2 when neither tree
-holds a file to compare. tree_digests gives each compared file's sha256
-under the same rules, for a tree to be checked against pinned digests.
+holds a file to compare. Two files match when their sha256 under these rules
+(file_digest) match; tree_digests gives them for a whole tree, so a tree can
+also be checked against pinned digests.
 """
 
 from __future__ import annotations
 
 import argparse
-import filecmp
 import hashlib
 import json
 import sys
@@ -51,40 +51,23 @@ def _drop_timing(value):
     return value
 
 
-def _json_text(path: Path) -> str:
-    return json.dumps(_drop_timing(json.loads(path.read_text())), sort_keys=True)
-
-
-def _npz_arrays(path: Path) -> list:
-    """A state file's arrays as (name, dtype, shape, bytes), by name."""
-    arrays = []
-    with np.load(path, allow_pickle=False) as npz:
-        for name in sorted(npz.files):
-            x = npz[name]
-            arrays.append((name, x.dtype.str, x.shape, x.tobytes()))
-    return arrays
-
-
-def files_equal(a: Path, b: Path) -> bool:
-    """Whether two output files of the same relative path match."""
-    if a.suffix == ".npz":
-        return _npz_arrays(a) == _npz_arrays(b)
-    if a.name in JSON_NAMES:
-        return _json_text(a) == _json_text(b)
-    return filecmp.cmp(a, b, shallow=False)
-
-
 def file_digest(path: Path) -> str:
-    """sha256 of what files_equal compares of an output file."""
+    """sha256 of what is compared of an output file; a CSV is read in
+    256 KiB chunks, a state file one array at a time."""
     digest = hashlib.sha256()
     if path.suffix == ".npz":
-        for name, dtype, shape, data in _npz_arrays(path):
-            digest.update(f"{name} {dtype} {shape}\n".encode())
-            digest.update(data)
+        with np.load(path, allow_pickle=False) as npz:
+            for name in sorted(npz.files):
+                x = npz[name]
+                digest.update(f"{name} {x.dtype.str} {x.shape}\n".encode())
+                digest.update(x.tobytes())
     elif path.name in JSON_NAMES:
-        digest.update(_json_text(path).encode())
+        text = json.dumps(_drop_timing(json.loads(path.read_text())), sort_keys=True)
+        digest.update(text.encode())
     else:
-        digest.update(path.read_bytes())
+        with path.open("rb") as fh:
+            for chunk in iter(lambda: fh.read(1 << 18), b""):
+                digest.update(chunk)
     return digest.hexdigest()
 
 
@@ -95,11 +78,11 @@ def tree_digests(root: Path) -> dict:
 
 def compare_trees(root_a: Path, root_b: Path) -> tuple:
     """(files compared, sorted list of differing relative paths)."""
-    files_a, files_b = _compared_files(root_a), _compared_files(root_b)
-    differ = {str(rel) + " (only in one tree)" for rel in files_a ^ files_b}
-    common = files_a & files_b
-    differ.update(str(rel) for rel in common if not files_equal(root_a / rel, root_b / rel))
-    return len(files_a | files_b), sorted(differ)
+    digests_a, digests_b = tree_digests(root_a), tree_digests(root_b)
+    differ = {rel + " (only in one tree)" for rel in digests_a.keys() ^ digests_b.keys()}
+    differ.update(rel for rel in digests_a.keys() & digests_b.keys()
+                  if digests_a[rel] != digests_b[rel])
+    return len(digests_a.keys() | digests_b.keys()), sorted(differ)
 
 
 def main(argv=None) -> int:
