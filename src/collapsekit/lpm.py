@@ -5,7 +5,8 @@ linear equilibrium cell), and the classifier W. The feasible set puts a
 mean-square ball on classifier rows, a Frobenius ball on the head weight,
 and a per-class mean-square ball on the post-head features; training is
 full-batch projected gradient descent with momentum, projecting after every
-step. Everything is bias-free.
+step, and one update steps W and Z as one flat buffer. Everything is
+bias-free.
 
 Training parametrization: the optimization programs treat the post-head
 features (the equilibrium z* or W_ex @ H0) as primal variables, with the
@@ -38,10 +39,12 @@ Two determinism details are deliberate:
     change their bits. The softmax denominator sums each column's values in
     ascending order; train() keeps each column's order from the previous
     step and re-sorts only the columns whose order changed (ClassSum),
-    which gives the bits of a fresh sort. The logits product w @ z is not
-    canonical: BLAS may round a row's last bits differently at another row
-    position (seen with OpenBLAS at some N, e.g. 370), so a relabeled run
-    reproduces the loss trace bit for bit only where it does not;
+    which gives the bits of a fresh sort. grad_z contracts W's rows in
+    lexsort order, which train() reuses while W's column 0 still orders it
+    strictly: the order a fresh lexsort gives. The logits product w @ z is
+    not canonical: BLAS may round a row's last bits differently at another
+    row position (seen with OpenBLAS at some N, e.g. 370), so a relabeled
+    run reproduces the loss trace bit for bit only where it does not;
   * ball projections iterate the shrink factor to a floating-point fixed
     point, so projecting twice is exactly projecting once whenever the
     projection clears its budget (a rescale that stalls one ulp above the
@@ -52,6 +55,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -306,10 +310,16 @@ class TrainTrace:
 # canonical reductions
 # ---------------------------------------------------------------------------
 
-def _class_order(w: np.ndarray) -> np.ndarray:
+def _class_order(w: np.ndarray, previous: Optional[np.ndarray] = None) -> np.ndarray:
     # Canonical row order (lexicographic on row contents). Contracting the
     # class axis in this order fixes the floating-point reduction sequence,
-    # so a class relabeling cannot perturb the last ulp.
+    # so a class relabeling cannot perturb the last ulp. previous is kept
+    # while column 0, lexsort's primary key, strictly increases under it:
+    # then it is lexsort's only order (ties, -0.0 vs 0.0 and NaN re-sort).
+    if previous is not None:
+        first = w[:, 0].take(previous).tolist()
+        if all(map(float.__lt__, first, first[1:])):
+            return previous
     return np.lexsort(w.T[::-1])
 
 
@@ -326,34 +336,42 @@ class ClassSum:
 
     Each column's ascending order from the previous call is applied with
     one flat take. Columns no longer ascending, which includes every column
-    holding a NaN, are re-sorted: their values by np.sort, as _sum_classes
-    would, and their order by argsort. Ties between equal values can land
+    holding a NaN, are re-sorted: their values as _sum_classes sorts them,
+    and their order by argsort. Ties between equal values can land
     in either order; their bits are equal, or they are zeros of both signs,
     whose ascending sum does not depend on their order. The sorted values
-    are taken into an array the instance owns.
+    are taken into an array the instance owns, and so are the comparisons
+    and the sums; a call's result is overwritten by the next call.
     """
 
     def __init__(self, k: int, n: int):
         self.n = n
         # index[r, j] = j + N * (row of column j's r-th smallest entry)
         self.index = np.arange(k * n).reshape(k, n)
-        self.sorted = np.empty((k, n))
+        self.sorted, self.ascending = np.empty((k, n)), np.empty((k - 1, n), bool)
+        self.upper, self.lower = self.sorted[1:], self.sorted[:-1]
+        self.kept, self.total = np.empty(n, bool), np.empty(n)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         # mode="clip" writes into the array directly; the index is in range
         srt = x.take(self.index, out=self.sorted, mode="clip")
-        moved = np.flatnonzero(~np.logical_and.reduce(srt[1:] >= srt[:-1], axis=0))
+        np.greater_equal(self.upper, self.lower, out=self.ascending)
+        kept = np.logical_and.reduce(self.ascending, axis=0, out=self.kept)
+        moved = np.logical_not(kept, out=kept).nonzero()[0]
         if moved.size:
             cols = x[:, moved]
-            srt[:, moved] = np.sort(cols, axis=0)
-            self.index[:, moved] = np.argsort(cols, axis=0) * self.n + moved
-        return np.add.reduce(srt, axis=0)
+            rows = cols.argsort(axis=0)  # in place: a first call moves every column
+            self.index[:, moved] = np.add(np.multiply(rows, self.n, out=rows), moved, out=rows)
+            cols.sort(axis=0)
+            srt[:, moved] = cols
+        return np.add.reduce(srt, axis=0, out=self.total)
 
 
 def classifier_mean_square(w: np.ndarray) -> float:
     """(1/K) sum_k ||w_k||^2 with an order-canonical class reduction."""
     row_sq = np.einsum("kd,kd->k", w, w)
-    return float(np.add.reduce(np.sort(row_sq)) / w.shape[0])
+    row_sq.sort()
+    return float(np.add.reduce(row_sq)) / w.shape[0]
 
 
 def _feature_norm(h: np.ndarray, weights: np.ndarray) -> float:
@@ -373,38 +391,42 @@ def _true_class_index(labels: np.ndarray, n: int) -> np.ndarray:
 
 
 def _softmax_terms(logits: np.ndarray, picks: np.ndarray, class_sum=_sum_classes,
-                   out=(None, None)):
+                   out=(None,) * 4):
     """Per-sample cross-entropy, exp(max-shifted logits) and its class sums.
 
     The one softmax kernel behind cross_entropy, the training step and
     loss_and_grads; picks is _true_class_index(labels, N), and class_sum is
     _sum_classes or the training run's ClassSum. out holds the K x N arrays
-    the shifted logits and their exp are written to, or None to allocate
-    them.
+    of the shifted logits and their exp, and the N-vectors of the column
+    max (reused for the true-class pick) and the per-sample loss, or None
+    to allocate them.
     """
-    shifted = np.subtract(logits, logits.max(axis=0, keepdims=True), out=out[0])
+    top = np.maximum.reduce(logits, axis=0, out=out[2])
+    shifted = np.subtract(logits, top, out=out[0])
     exp = np.exp(shifted, out=out[1])
     denom = class_sum(exp)
-    return np.log(denom) - shifted.take(picks), exp, denom
+    per_sample = np.log(denom, out=out[3])
+    # mode="clip" writes into top directly; the picks are in range
+    np.subtract(per_sample, shifted.take(picks, out=top, mode="clip"), out=per_sample)
+    return per_sample, exp, denom
 
 
 # ---------------------------------------------------------------------------
 # raw-array core (the training loop avoids re-validating dataclasses per step)
 # ---------------------------------------------------------------------------
 
-def _logit_grads(exp, denom, picks, n, w, z, out=(None, None)):
+def _logit_grads(exp, denom, picks, n, w, z, order, out=(None,) * 3):
     """Gradients (grad_w, grad_z) of the mean cross-entropy of logits w @ z,
     from _softmax_terms' exp (overwritten) and denom; grad_z contracts the
-    class axis in canonical order. out holds the K x N array of the
-    reordered gradient rows and the D x N array of grad_z, or None to
+    class axis in the canonical order _class_order(w). out holds the K x N
+    array of the reordered gradient rows, grad_w and grad_z, or None to
     allocate them."""
     g = np.divide(exp, denom, out=exp)
     g.reshape(-1)[picks] -= 1.0
     g /= n
-    order = _class_order(w)
     # mode="clip" writes into out[0] directly; the order is in range
-    g_ordered = np.take(g, order, axis=0, out=out[0], mode="clip")
-    return g @ z.T, np.matmul(w[order].T, g_ordered, out=out[1])
+    g_ordered = g.take(order, axis=0, out=out[0], mode="clip")
+    return np.matmul(g, z.T, out=out[1]), np.matmul(w[order].T, g_ordered, out=out[2])
 
 
 def _shrink_to_ball(block: np.ndarray, value_fn, budget: float, squared: bool,
@@ -495,7 +517,7 @@ def loss_and_grads(features: FeatureSet, head: HeadModel, cls: ClassifierWeights
     n = logits.shape[1]
     picks = _true_class_index(features.labels, n)
     per_sample, exp, denom = _softmax_terms(logits, picks)
-    grad_w, upstream = _logit_grads(exp, denom, picks, n, w, h)
+    grad_w, upstream = _logit_grads(exp, denom, picks, n, w, h, _class_order(w))
     grad_head, grad_h0 = head.backward(upstream, h0)
     loss = float(np.add.reduce(per_sample) / n)
     return loss, {"w": grad_w, "head": grad_head, "h0": grad_h0}, logits, h
@@ -626,15 +648,16 @@ def train(
 
     The class partition is the FeatureSet's. The final state's preimage is
     computed once, when training ends. Every array a step or a snapshot
-    writes is built once per run, and the projections rescale w and z in
-    place, so a step allocates no K x N or D x N float array: depending on
+    writes is built once per run: w and z are views of one flat buffer,
+    which the momentum update steps with its velocity, gradient and update
+    buffers, and the projections rescale w and z in place. So a step
+    allocates no K x N or D x N float array: depending on
     a run's earlier allocations, glibc serves such a temporary (above
     128 KB at N in the thousands) from a fresh mapping or from heap memory
     it trims again, and the next step faults it in anew.
     Each projection returns its functional's value, which the slack reuses.
     """
     labels, k, partition = features.labels, features.k, features.partition
-    weights = partition.weights
     features, head, cls = project_feasible(features, head, cls, cfg)
     z = head.apply(features.h0)
     check_finite(z, "features")
@@ -643,67 +666,59 @@ def train(
     picks = _true_class_index(labels, n)
     class_sum = ClassSum(k, n)
 
-    def feature_norm(b):
-        return _feature_norm(b, weights)
-
+    feature_norm = partial(_feature_norm, weights=partition.weights)
     snapshots = _SnapshotBuffer(head, partition, cfg, z.shape)
     losses = []
-    # the updates and projections run in place, so the loop owns its w and
-    # z (project_feasible can return cls itself, and a head's apply a view
-    # of its input); a record copies them
-    w, z = np.copy(cls.w), np.copy(z)
-    v_w, v_z = np.zeros_like(w), np.zeros_like(z)
-    step_w, step_z = np.empty_like(w), np.empty_like(z)
-    # the step's work arrays: logits, shifted logits, their exp and the
-    # reordered gradient rows (K x N), and grad_z (D x N)
+    # the loop owns its w and z (project_feasible can return cls itself, and
+    # a head's apply a view of its input), views of one flat buffer [w | z]
+    # like grad_w and grad_z; the other work arrays are K x N (logits,
+    # shifted logits, exp, reordered gradient rows) and N (column max, loss)
+    size_w = cls.w.size
+    params = np.concatenate((cls.w.reshape(-1), z.reshape(-1)))
+    velocity, grad, update = np.zeros((3, params.size))
+    w, z = params[:size_w].reshape(cls.w.shape), params[size_w:].reshape(z.shape)
+    grad_w, grad_z = grad[:size_w].reshape(w.shape), grad[size_w:].reshape(z.shape)
     logits, shifted, exp, g_ordered = np.empty((4, k, n))
-    grad_z = np.empty_like(z)
-    slack_max = 0.0
+    top, sample_loss = np.empty((2, n))
+    order, slack_max = None, 0.0
 
     def finalize(usable=True):
         snapshots.flush()
         final = ()
         if usable:  # a usable z and w are finite: see train's docstring
-            final = (replace(features, h0=head.preimage(z)), head, ClassifierWeights(w=w))
+            final = (replace(features, h0=head.preimage(z)), head, ClassifierWeights(w=w.copy()))
         return TrainTrace(snapshots.snapshots, np.asarray(losses), slack_max, *final)
 
     # iteration `step` takes the loss of the state after `step` updates,
     # records that state if it is a snapshot step, and applies update step + 1
     for step in range(cfg.steps + 1):
         np.matmul(w, z, out=logits)
-        per_sample, exp, denom = _softmax_terms(logits, picks, class_sum, (shifted, exp))
-        loss = float(np.add.reduce(per_sample) / n)
+        per_sample, exp, denom = _softmax_terms(logits, picks, class_sum,
+                                                (shifted, exp, top, sample_loss))
+        loss = float(np.add.reduce(per_sample)) / n
         if step % cfg.log_every == 0 or step == cfg.steps:
             snapshots.record(step, z, w, logits, loss)
         if step == cfg.steps:
             break
         if not math.isfinite(loss):
-            raise TrainingDivergedError(
-                f"loss became non-finite at step {step + 1}", trace=finalize()
-            )
+            raise TrainingDivergedError(f"loss became non-finite at step {step + 1}",
+                                        trace=finalize())
         losses.append(loss)
 
-        gw, gz = _logit_grads(exp, denom, picks, n, w, z, (g_ordered, grad_z))
+        order = _class_order(w, order)
+        _logit_grads(exp, denom, picks, n, w, z, order, (g_ordered, grad_w, grad_z))
+        # v = momentum * v + grad; [w | z] = [w | z] - learning_rate * v
+        np.multiply(velocity, cfg.momentum, out=velocity)
+        np.add(velocity, grad, out=velocity)
+        np.subtract(params, np.multiply(velocity, cfg.learning_rate, out=update), out=params)
 
-        # v = momentum * v + grad; x = x - learning_rate * v
-        np.multiply(v_w, cfg.momentum, out=v_w)
-        v_w += gw
-        np.multiply(v_z, cfg.momentum, out=v_z)
-        v_z += gz
-        w -= np.multiply(v_w, cfg.learning_rate, out=step_w)
-        z -= np.multiply(v_z, cfg.learning_rate, out=step_z)
-
-        w, w_value = _shrink_to_ball(w, classifier_mean_square, cfg.e_w, True, w)
-        z, z_value = _shrink_to_ball(z, feature_norm, cfg.feature_budget, True, z)
+        _, w_value = _shrink_to_ball(w, classifier_mean_square, cfg.e_w, True, w)
+        _, z_value = _shrink_to_ball(z, feature_norm, cfg.feature_budget, True, z)
         if not (math.isfinite(w_value) and math.isfinite(z_value)):
             raise TrainingDivergedError(f"update left float range at step {step + 1}",
                                         trace=finalize(usable=False))
-        slack_max = max(
-            slack_max,
-            w_value / cfg.e_w - 1.0,
-            head_slack,
-            z_value / cfg.feature_budget - 1.0,
-        )
+        slack_max = max(slack_max, w_value / cfg.e_w - 1.0, head_slack,
+                        z_value / cfg.feature_budget - 1.0)
 
     return finalize()
 

@@ -225,6 +225,12 @@ def test_criterion_07_minority_collapse(tmp_path):
 
 
 def test_criterion_08_head_comparison(tmp_path):
+    """The imbalanced explicit-versus-equilibrium comparison, asserted on the
+    seeds where its conditions hold. Its runs stop well short of their
+    program's optimum: at 8000 steps, seeds 0 and 1 end at a loss of
+    0.50650 against the certified optimum 0.447677 (32000 steps still read
+    0.506487). So the NC numbers compared here are those of a
+    non-stationary point, not of the program's solution."""
     t0 = time.perf_counter()
     held, failed_conditions = [], []
     ok = True
@@ -252,7 +258,9 @@ def test_criterion_08_head_comparison(tmp_path):
     assert _report(
         8, "imbalanced head comparison (asserted where conditions hold)", ok,
         f"conditions held: {held or 'none'}; reported-not-asserted: "
-        f"{failed_conditions}; {elapsed:.0f}s",
+        f"{failed_conditions}; runs stop well short of their program's optimum "
+        f"(loss 0.5065 vs 0.447677 at 8000 steps, seeds 0-1), so these are the NC "
+        f"numbers of a non-stationary point; {elapsed:.0f}s",
     )
 
 

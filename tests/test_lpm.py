@@ -128,6 +128,33 @@ class TestClassSum:
         assert set(changed) <= {7, 9} and 7 in changed
 
 
+class TestClassOrder:
+    """_class_order keeps a previous order only where it is lexsort's one
+    answer: column 0 strictly increasing under it."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data(), k=st.integers(2, 7), d=st.integers(1, 4))
+    def test_matches_lexsort(self, data, k, d):
+        # few distinct values, so column 0 ties, rows repeat and zeros of
+        # both signs meet; NaN falls back to a fresh sort too
+        values = st.one_of(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0, math.nan]),
+                           st.floats(-3.0, 3.0))
+        w = np.array(data.draw(st.lists(values, min_size=k * d, max_size=k * d))).reshape(k, d)
+        if data.draw(st.booleans()):
+            w[data.draw(st.integers(0, k - 1))] = w[data.draw(st.integers(0, k - 1))]
+        previous = np.array(data.draw(st.permutations(range(k))))
+        fresh = np.lexsort(w.T[::-1])
+        np.testing.assert_array_equal(lpm_mod._class_order(w, previous), fresh)
+        np.testing.assert_array_equal(lpm_mod._class_order(w), fresh)
+
+    def test_keeps_a_strict_order_and_resorts_a_tie(self):
+        w = np.array([[2.0, 0.0], [-1.0, 5.0], [0.5, -3.0]])
+        order = lpm_mod._class_order(w)
+        assert lpm_mod._class_order(w, order) is order
+        w[1, 0] = 0.5  # ties row 2 in column 0: row 2's column 1 sorts it first
+        np.testing.assert_array_equal(lpm_mod._class_order(w, order), [2, 1, 0])
+
+
 class TestAccuracy:
     def test_one_hot(self):
         labels = np.array([2, 0, 1])
@@ -390,10 +417,21 @@ class TestTrain:
                 moved.append(int(np.count_nonzero(np.any(self.index != before, axis=0))))
                 return out
 
+        class_order = lpm_mod._class_order
+        reordered = []
+
+        def watching_order(w, previous=None):
+            order = class_order(w, previous)
+            reordered.append(previous is not None and not np.array_equal(order, previous))
+            return order
+
         monkeypatch.setattr(lpm_mod, "ClassSum", CountingClassSum)
+        monkeypatch.setattr(lpm_mod, "_class_order", watching_order)
         base = train(features, head, cls, cfg)
         # the first call sorts every column; later ones re-sort a few
         assert 0 < sum(moved[1:]) < len(labels) * (len(moved) - 1) // 10
+        # the reused class order of grad_z changes during the run
+        assert any(reordered)
 
         perm = np.array([3, 0, 4, 1, 2])
         features_p = FeatureSet(h0=features.h0, labels=perm[labels], k=k)
@@ -401,11 +439,16 @@ class TestTrain:
         permuted = train(features_p, head, cls_p, cfg)
         assert base.loss_history.tobytes() == permuted.loss_history.tobytes()
 
-        # and the same bits as a fresh sort at every step
+        # and the same bits as a fresh sort at every step, of the columns
+        # and of the class order
         monkeypatch.setattr(lpm_mod, "ClassSum", lambda k, n: lpm_mod._sum_classes)
         fresh = train(features, head, cls, cfg)
         assert base.loss_history.tobytes() == fresh.loss_history.tobytes()
         assert base.snapshots == fresh.snapshots
+        monkeypatch.setattr(lpm_mod, "_class_order", lambda w, previous=None: class_order(w))
+        fresh_order = train(features, head, cls, cfg)
+        assert base.loss_history.tobytes() == fresh_order.loss_history.tobytes()
+        assert base.snapshots == fresh_order.snapshots
 
     @pytest.mark.xfail(strict=True, reason="the BLAS logits product w @ z can round a row "
                                            "differently at another row position")
@@ -662,17 +705,19 @@ class TestStepWorkArrays:
         # a step's K x N and D x N temporaries are the run's work arrays, so
         # the allocator has nothing large to map or trim from step to step
         features, head, cls = _small_instance(3, k=4, n=5, d=8, head_kind=head_kind, e_h=0.5)
-        exps, grads_z, shrinks = [], [], []
+        exps, losses, grads_w, grads_z, shrinks = [], [], [], [], []
         softmax_terms, logit_grads = lpm_mod._softmax_terms, lpm_mod._logit_grads
         shrink = lpm_mod._shrink_to_ball
 
         def keeping_exp(*args):
             per_sample, exp, denom = softmax_terms(*args)
             exps.append(exp)
+            losses.append(per_sample)
             return per_sample, exp, denom
 
         def keeping_grad_z(*args):
             gw, gz = logit_grads(*args)
+            grads_w.append(gw)
             grads_z.append(gz)
             return gw, gz
 
@@ -688,8 +733,9 @@ class TestStepWorkArrays:
         cfg = TrainConfig(learning_rate=0.5, steps=30, e_h=0.5, feature_budget=0.5)
         train(features, head, cls, cfg)
 
-        assert len({id(exp) for exp in exps}) == 1
-        assert len({id(gz) for gz in grads_z}) == 1
+        # the lists keep every array alive, so distinct arrays have distinct ids
+        for arrays in (exps, losses, grads_w, grads_z):
+            assert len({id(array) for array in arrays}) == 1
         # after the initial projection of H0, the loop rescales z in place
         loop = shrinks[1:]
         assert len(loop) == 30 and all(out is block for block, out, _ in loop)
