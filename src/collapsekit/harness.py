@@ -16,11 +16,12 @@ cross-head comparison reads (the class means of the initial and the final
 features, and the classifier). A head's final post-head features are
 head(preimage(z)) of its last state, computed once. _run_head_jobs runs a
 list of head jobs: in this process with one job or one worker, else in one
-forked pool, largest N x steps first. The outputs are the same either way
-at a fixed BLAS thread count. The N x N sample Gram
-(gram_samples.csv, final post-head features, class-sorted) is written only
-on request, by `collapsekit export-gram` (reexport_grams), from the saved
-state.
+forked pool, largest N x steps first; the pool modules (concurrent.futures,
+which loads logging, and multiprocessing) are imported only then. The
+outputs are the same either way at a fixed BLAS thread count. The N x N
+sample Gram (gram_samples.csv, final post-head features, class-sorted) is
+written only on request, by `collapsekit export-gram` (reexport_grams),
+from the saved state.
 
 With head = both, each head's artifacts land in an explicit/ or deq/
 subdirectory of the run directory and report.json at the top level carries
@@ -38,7 +39,6 @@ thread count.
 
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
 import hashlib
 import itertools
@@ -548,6 +548,7 @@ def _run_head_jobs(jobs: list, workers: int) -> list:
 
     if len(jobs) <= 1 or workers == 1:
         return [attempt(job) for job in jobs]
+    import concurrent.futures
     import multiprocessing
 
     order = sorted(range(len(jobs)), reverse=True,

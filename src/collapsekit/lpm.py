@@ -5,8 +5,9 @@ linear equilibrium cell), and the classifier W. The feasible set puts a
 mean-square ball on classifier rows, a Frobenius ball on the head weight,
 and a per-class mean-square ball on the post-head features; training is
 full-batch projected gradient descent with momentum, projecting after every
-step, and one update steps W and Z as one flat buffer. Everything is
-bias-free.
+step. One update steps W and Z as one flat buffer and writes lr * v over
+the gradient; a step works in two K x N arrays, the logits and the softmax
+terms, whose true-class pick is taken before exp. Everything is bias-free.
 
 Training parametrization: the optimization programs treat the post-head
 features (the equilibrium z* or W_ex @ H0) as primal variables, with the
@@ -397,18 +398,17 @@ def _softmax_terms(logits: np.ndarray, picks: np.ndarray, class_sum=_sum_classes
     The one softmax kernel behind cross_entropy, the training step and
     loss_and_grads; picks is _true_class_index(labels, N), and class_sum is
     _sum_classes or the training run's ClassSum. out holds the K x N arrays
-    of the shifted logits and their exp, and the N-vectors of the column
-    max (reused for the true-class pick) and the per-sample loss, or None
-    to allocate them.
+    of the shifted logits and their exp, which may be one array (the
+    true-class pick is taken before exp), and the N-vectors of the column
+    max (reused for the per-sample loss) and the pick, or None to allocate.
     """
     top = np.maximum.reduce(logits, axis=0, out=out[2])
     shifted = np.subtract(logits, top, out=out[0])
+    # mode="clip" writes into out[3] directly; the picks are in range
+    pick = shifted.take(picks, out=out[3], mode="clip")
     exp = np.exp(shifted, out=out[1])
     denom = class_sum(exp)
-    per_sample = np.log(denom, out=out[3])
-    # mode="clip" writes into top directly; the picks are in range
-    np.subtract(per_sample, shifted.take(picks, out=top, mode="clip"), out=per_sample)
-    return per_sample, exp, denom
+    return np.subtract(np.log(denom, out=top), pick, out=top), exp, denom
 
 
 # ---------------------------------------------------------------------------
@@ -649,13 +649,14 @@ def train(
     The class partition is the FeatureSet's. The final state's preimage is
     computed once, when training ends. Every array a step or a snapshot
     writes is built once per run: w and z are views of one flat buffer,
-    which the momentum update steps with its velocity, gradient and update
-    buffers, and the projections rescale w and z in place. So a step
-    allocates no K x N or D x N float array: depending on
-    a run's earlier allocations, glibc serves such a temporary (above
-    128 KB at N in the thousands) from a fresh mapping or from heap memory
-    it trims again, and the next step faults it in anew.
-    Each projection returns its functional's value, which the slack reuses.
+    stepped with a velocity and a gradient buffer (lr * v overwrites the
+    gradient), and the projections rescale w and z in place. One K x N
+    array holds the logits, then (once a snapshot has copied them) the
+    class-ordered gradient rows; the other the shifted logits, their exp,
+    then the gradient. So a step allocates no K x N or D x N float array,
+    which glibc can serve (above 128 KB, N in the thousands) from a fresh
+    mapping or trimmed heap that the next step faults in anew. Each
+    projection returns its functional's value, which the slack reuses.
     """
     labels, k, partition = features.labels, features.k, features.partition
     features, head, cls = project_feasible(features, head, cls, cfg)
@@ -670,16 +671,15 @@ def train(
     snapshots = _SnapshotBuffer(head, partition, cfg, z.shape)
     losses = []
     # the loop owns its w and z (project_feasible can return cls itself, and
-    # a head's apply a view of its input), views of one flat buffer [w | z]
-    # like grad_w and grad_z; the other work arrays are K x N (logits,
-    # shifted logits, exp, reordered gradient rows) and N (column max, loss)
+    # a head's apply a view of its input): views of one flat buffer [w | z],
+    # like grad_w and grad_z; top holds the column max, then the loss
     size_w = cls.w.size
     params = np.concatenate((cls.w.reshape(-1), z.reshape(-1)))
-    velocity, grad, update = np.zeros((3, params.size))
+    velocity, grad = np.zeros((2, params.size))
     w, z = params[:size_w].reshape(cls.w.shape), params[size_w:].reshape(z.shape)
     grad_w, grad_z = grad[:size_w].reshape(w.shape), grad[size_w:].reshape(z.shape)
-    logits, shifted, exp, g_ordered = np.empty((4, k, n))
-    top, sample_loss = np.empty((2, n))
+    logits, exp = np.empty((2, k, n))
+    top, pick = np.empty((2, n))
     order, slack_max = None, 0.0
 
     def finalize(usable=True):
@@ -694,7 +694,7 @@ def train(
     for step in range(cfg.steps + 1):
         np.matmul(w, z, out=logits)
         per_sample, exp, denom = _softmax_terms(logits, picks, class_sum,
-                                                (shifted, exp, top, sample_loss))
+                                                (exp, exp, top, pick))
         loss = float(np.add.reduce(per_sample)) / n
         if step % cfg.log_every == 0 or step == cfg.steps:
             snapshots.record(step, z, w, logits, loss)
@@ -706,11 +706,11 @@ def train(
         losses.append(loss)
 
         order = _class_order(w, order)
-        _logit_grads(exp, denom, picks, n, w, z, order, (g_ordered, grad_w, grad_z))
+        _logit_grads(exp, denom, picks, n, w, z, order, (logits, grad_w, grad_z))
         # v = momentum * v + grad; [w | z] = [w | z] - learning_rate * v
         np.multiply(velocity, cfg.momentum, out=velocity)
         np.add(velocity, grad, out=velocity)
-        np.subtract(params, np.multiply(velocity, cfg.learning_rate, out=update), out=params)
+        np.subtract(params, np.multiply(velocity, cfg.learning_rate, out=grad), out=params)
 
         _, w_value = _shrink_to_ball(w, classifier_mean_square, cfg.e_w, True, w)
         _, z_value = _shrink_to_ball(z, feature_norm, cfg.feature_budget, True, z)

@@ -1,8 +1,10 @@
 import csv
 import functools
+import gc
 import importlib.util
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -10,14 +12,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from collapsekit import harness
+from collapsekit import cli, harness
 from collapsekit.cli import main
 from collapsekit.errors import SingularMatrixError
 
-_TOOL = Path(__file__).resolve().parents[1] / "tools" / "compare_outputs.py"
+_ROOT = Path(__file__).resolve().parents[1]
+_TOOL = _ROOT / "tools" / "compare_outputs.py"
 _spec = importlib.util.spec_from_file_location("compare_outputs", _TOOL)
 compare_outputs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(compare_outputs)
+
+
+def _src_env() -> dict:
+    """The environment of a fresh interpreter that imports collapsekit from src/."""
+    path = os.pathsep.join(filter(None, (str(_ROOT / "src"), os.environ.get("PYTHONPATH"))))
+    return dict(os.environ, PYTHONPATH=path)
 
 
 def _cfg_lines(**overrides):
@@ -200,13 +209,48 @@ class TestChecks:
 
     @pytest.mark.parametrize("module", ["collapsekit", "collapsekit.cli"])
     def test_module_entry_points(self, module):
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-        env = dict(os.environ, PYTHONPATH=path)
         done = subprocess.run([sys.executable, "-m", module, "lemma-fuzz", "--draws", "5"],
-                              env=env, capture_output=True, text=True)
+                              env=_src_env(), capture_output=True, text=True)
         assert (done.returncode, done.stderr) == (0, "")
         assert done.stdout.splitlines()[-1] == "PASS"
+
+
+class TestProgramEntry:
+    """The program entry freezes the imported heap once, before the command
+    runs; cli.main called in-process never does."""
+
+    _BOUND_CHECK = ["bound-check", "--k", "4", "--ew", "1", "--eh", "1"]
+
+    def test_main_does_not_freeze(self, monkeypatch):
+        freezes = []
+        monkeypatch.setattr(gc, "freeze", lambda: freezes.append(1))
+        assert main(self._BOUND_CHECK) == 0
+        assert freezes == []
+
+    def test_entry_freezes_once_before_the_command(self, monkeypatch):
+        events = []
+        monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
+        monkeypatch.setattr(cli, "_cmd_bound_check", lambda args: events.append("command") or 0)
+        monkeypatch.setattr(sys, "argv", ["collapsekit"] + self._BOUND_CHECK)
+        assert cli.entry() == 0
+        assert events == ["freeze", "command"]
+
+    def test_both_programs_start_at_entry(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "entry", lambda: calls.append(1) or 7)
+        with pytest.raises(SystemExit) as exited:
+            runpy.run_module("collapsekit", run_name="__main__")
+        assert (exited.value.code, calls) == (7, [1])
+        pyproject = (_ROOT / "pyproject.toml").read_text()
+        assert 'collapsekit = "collapsekit.cli:entry"' in pyproject.splitlines()
+
+    def test_harness_import_loads_no_pool_module(self):
+        code = ("import sys, collapsekit.harness; "
+                "print(*sorted({'concurrent.futures', 'logging', 'multiprocessing'}"
+                " & sys.modules.keys()))")
+        done = subprocess.run([sys.executable, "-c", code], env=_src_env(),
+                              capture_output=True, text=True)
+        assert (done.returncode, done.stderr, done.stdout) == (0, "", "\n")
 
 
 class TestExportGram:

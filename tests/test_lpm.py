@@ -128,6 +128,41 @@ class TestClassSum:
         assert set(changed) <= {7, 9} and 7 in changed
 
 
+class TestSoftmaxTerms:
+    """The true-class pick is taken before exp, so one array may hold the
+    shifted logits and their exp: every out layout gives the same bytes."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data(), k=st.integers(2, 7), n=st.integers(1, 12),
+           class_sum_name=st.sampled_from(["ClassSum", "_sum_classes"]))
+    def test_out_layouts_give_the_same_bytes(self, data, k, n, class_sum_name):
+        # few distinct values, so entries repeat and zeros of both signs meet
+        values = st.one_of(st.sampled_from([-0.0, 0.0, 1.0, -2.5, 1e300, -1e300]),
+                           st.floats(-1e300, 1e300))
+        logits = np.array(data.draw(st.lists(values, min_size=k * n, max_size=k * n)))
+        logits = logits.reshape(k, n)
+        labels = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)))
+        picks = lpm_mod._true_class_index(labels, n)
+        shared = np.empty((k, n))
+        layouts = [(shared, shared, np.empty(n), np.empty(n)),
+                   (np.empty((k, n)), np.empty((k, n)), np.empty(n), np.empty(n)),
+                   (None,) * 4]
+        top = np.max(logits, axis=0)
+        shifted = logits - top
+        expected_exp = np.exp(shifted)
+        expected_denom = _sort_sum(expected_exp)
+        expected = [np.log(expected_denom) - shifted[labels, np.arange(n)],
+                    expected_exp, expected_denom]
+        for out in layouts:
+            class_sum = (lpm_mod.ClassSum(k, n) if class_sum_name == "ClassSum"
+                         else lpm_mod._sum_classes)
+            per_sample, exp, denom = lpm_mod._softmax_terms(logits, picks, class_sum, out)
+            if out[0] is not None:
+                assert exp is out[1] and per_sample is out[2]
+            for got, want in zip((per_sample, exp, denom), expected, strict=True):
+                assert got.tobytes() == want.tobytes()
+
+
 class TestClassOrder:
     """_class_order keeps a previous order only where it is lexsort's one
     answer: column 0 strictly increasing under it."""
@@ -706,16 +741,21 @@ class TestStepWorkArrays:
         # the allocator has nothing large to map or trim from step to step
         features, head, cls = _small_instance(3, k=4, n=5, d=8, head_kind=head_kind, e_h=0.5)
         exps, losses, grads_w, grads_z, shrinks = [], [], [], [], []
+        logits, reordered = [], []
         softmax_terms, logit_grads = lpm_mod._softmax_terms, lpm_mod._logit_grads
         shrink = lpm_mod._shrink_to_ball
 
         def keeping_exp(*args):
             per_sample, exp, denom = softmax_terms(*args)
+            # one K x N array holds the shifted logits, then their exp
+            assert exp is args[3][0]
+            logits.append(args[0])
             exps.append(exp)
             losses.append(per_sample)
             return per_sample, exp, denom
 
         def keeping_grad_z(*args):
+            reordered.append(args[7][0])
             gw, gz = logit_grads(*args)
             grads_w.append(gw)
             grads_z.append(gz)
@@ -736,6 +776,9 @@ class TestStepWorkArrays:
         # the lists keep every array alive, so distinct arrays have distinct ids
         for arrays in (exps, losses, grads_w, grads_z):
             assert len({id(array) for array in arrays}) == 1
+        # the class-ordered gradient rows overwrite that step's logits
+        assert len(reordered) == 30
+        assert all(rows is step_logits for rows, step_logits in zip(reordered, logits))
         # after the initial projection of H0, the loop rescales z in place
         loop = shrinks[1:]
         assert len(loop) == 30 and all(out is block for block, out, _ in loop)
